@@ -1,18 +1,23 @@
-//! The ComponentSteal scheme — work stealing with **whole components
-//! as the unit of donated work** — as a [`SchedulePolicy`].
+//! The steal-pool scheme — per-block deques with steal-based
+//! balancing — as one [`SchedulePolicy`] serving both
+//! [`Algorithm::WorkStealing`](crate::Algorithm::WorkStealing) and
+//! [`Algorithm::ComponentSteal`](crate::Algorithm::ComponentSteal).
 //!
-//! The [`stealing`](crate::stealing) policy donates branched children:
-//! a thief inherits one sub-tree of a graph every other block is also
+//! Each block's DFS stack *is* its deque: a branched child pushed to
+//! the back is implicitly donated, because a starving peer can steal it
+//! from the front (the shallowest, and therefore largest, pending
+//! sub-tree). There is no donation threshold to tune and no single
+//! queue to contend on; the price is synchronization on the owner's
+//! own push/pop path.
+//!
+//! A stolen child is a slice of a graph every other block is also
 //! chewing on. arXiv 2512.18334's observation is that a *component* of
-//! a disconnected residual is the natural donation unit — it is a
-//! complete, independent sub-problem with its own bound, so a steal
-//! transfers a whole budgeted sub-search instead of a slice of a
-//! shared one.
-//!
-//! Mechanically this policy is the steal-pool policy with a richer
-//! work item: ordinary tree nodes *and* pending components. When the
-//! engine detects a component-sum node (see [`crate::split`]), the
-//! policy **adopts** it: the components are pushed onto the block's
+//! a disconnected residual is the natural donation unit — a complete,
+//! independent sub-problem with its own bound. So the work item is
+//! richer than a tree node: when the engine detects a component-sum
+//! node (see [`crate::split`]) and the policy **adopts** splits
+//! (ComponentSteal; WorkStealing declines, and the engine solves the
+//! split inline), the components are pushed onto the block's
 //! own deque, where starving peers steal them front-first (the oldest
 //! push; component order follows BFS discovery over vertex ids). Each
 //! component is solved by the budgeted sub-search of
@@ -23,9 +28,10 @@
 //! engine as its next "tree node", where the ordinary bound/solution
 //! machinery takes over.
 //!
-//! Counter semantics mirror [`stealing`](crate::stealing): own-deque
-//! traffic is stack activity, steals are worklist removes, and every
-//! solved sub-search node counts toward the Figure 5 load metric.
+//! Counter semantics mirror the other parallel policies: own-deque
+//! traffic is stack activity, steals are worklist removes (counted in
+//! `nodes_from_worklist`), and every solved sub-search node counts
+//! toward the Figure 5 load metric.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -41,7 +47,6 @@ use crate::ops::Kernel;
 use crate::scratch::BlockScratch;
 use crate::shared::BoundSrc;
 use crate::split::{self, PendingSplit, SubInstance};
-use crate::stealing::StealParams;
 use crate::TreeNode;
 
 /// One adopted component-sum node: the parent, its components, and the
@@ -70,18 +75,23 @@ enum CompTask {
     Component { job: Arc<SplitJob>, index: usize },
 }
 
-/// Shared state: one deque of component-steal work items per block.
+/// Shared state: one deque of steal-pool work items per block.
 pub struct CompStealFactory {
     pool: StealPool<CompTask>,
+    adopt: bool,
 }
 
 impl CompStealFactory {
     /// A fresh factory for a launch of `workers` blocks (one per
-    /// solve). `depth_hint` pre-sizes each deque (§IV-E).
-    pub fn new(workers: usize, depth_hint: usize, params: &StealParams) -> Self {
-        let mut pool = StealPool::new(workers, depth_hint);
-        pool.set_poll_sleep(params.poll_sleep);
-        CompStealFactory { pool }
+    /// solve). `depth_hint` pre-sizes each deque (§IV-E). `adopt`
+    /// donates component-sum nodes as stealable components
+    /// (ComponentSteal); without it every split is solved inline
+    /// (WorkStealing).
+    pub fn new(workers: usize, depth_hint: usize, adopt: bool) -> Self {
+        CompStealFactory {
+            pool: StealPool::new(workers, depth_hint),
+            adopt,
+        }
     }
 }
 
@@ -98,6 +108,7 @@ impl PolicyFactory for CompStealFactory {
         Box::new(CompStealPolicy {
             pool: &self.pool,
             handle: self.pool.handle(ctx.block_id as usize),
+            adopt: self.adopt,
             conns: ConnPool::new(),
             scratch: BlockScratch::new(),
         })
@@ -108,6 +119,8 @@ impl PolicyFactory for CompStealFactory {
 pub struct CompStealPolicy<'a> {
     pool: &'a StealPool<CompTask>,
     handle: StealHandle<'a, CompTask>,
+    /// Whether offered splits are donated as components.
+    adopt: bool,
     /// Tracker-reuse pool for the per-component sub-searches this block
     /// runs: each solved component recycles the previous one's
     /// union-find allocations instead of growing fresh ones.
@@ -220,15 +233,11 @@ impl SchedulePolicy for CompStealPolicy<'_> {
     ) -> Option<TreeNode> {
         loop {
             let (outcome, stats) = self.handle.pop_with_stats();
-            let task = match outcome {
-                StealOutcome::Item(task, StealSource::Own) => {
-                    counters.charge(
-                        Activity::PopFromStack,
-                        stats.sleeps * kernel.cost.poll_sleep,
-                    );
-                    task
-                }
+            let (task, copy) = match outcome {
+                StealOutcome::Item(task, StealSource::Own) => (task, Activity::PopFromStack),
                 StealOutcome::Item(task, StealSource::Stolen { victim }) => {
+                    // A steal pays like a worklist remove: the scan
+                    // attempts, the starvation naps, and the node copy.
                     counters.charge(
                         Activity::RemoveFromWorklist,
                         stats.attempts * kernel.cost.queue_op
@@ -246,7 +255,7 @@ impl SchedulePolicy for CompStealPolicy<'_> {
                         );
                         kernel.sink.counter("steal.steals", 1);
                     }
-                    task
+                    (task, Activity::RemoveFromWorklist)
                 }
                 StealOutcome::Done => {
                     counters.charge(
@@ -259,7 +268,7 @@ impl SchedulePolicy for CompStealPolicy<'_> {
             };
             match task {
                 CompTask::Node(n) => {
-                    kernel.charge_node_copy(n.len(), Activity::PopFromStack, counters);
+                    kernel.charge_node_copy(n.len(), copy, counters);
                     return Some(n);
                 }
                 CompTask::Component { job, index } => {
@@ -287,6 +296,9 @@ impl SchedulePolicy for CompStealPolicy<'_> {
         kernel: &Kernel<'_>,
         counters: &mut BlockCounters,
     ) -> Result<(), PendingSplit> {
+        if !self.adopt {
+            return Err(split);
+        }
         let n = split.comps.len();
         let job = Arc::new(SplitJob {
             parent: split.parent,

@@ -22,9 +22,9 @@
 //! point every [`Algorithm`](crate::Algorithm) goes through.
 //!
 //! Adding a scheme — component-aware branching, weighted variants,
-//! batched sub-tree hand-off — is now a ~50-line policy file (see
-//! [`stealing`](crate::stealing) for the template) instead of a fork
-//! of the whole traversal.
+//! batched sub-tree hand-off — is a policy file or a parameter of one
+//! (see [`hybrid`](crate::hybrid) for the template, whose batch size
+//! is the batched variant) instead of a fork of the whole traversal.
 
 use parvc_graph::{CsrGraph, VertexId};
 use parvc_simgpu::counters::{Activity, BlockCounters};

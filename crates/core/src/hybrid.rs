@@ -1,5 +1,6 @@
 //! The Hybrid scheme — the paper's contribution (Figure 4, §IV-A) —
-//! as a [`SchedulePolicy`].
+//! as a [`SchedulePolicy`], plus its batched hand-off variant
+//! ([`Algorithm::Batched`](crate::Algorithm::Batched)).
 //!
 //! Every thread block traverses a sub-tree depth-first with its local
 //! stack, **but** on each branching it first looks at the global
@@ -13,6 +14,11 @@
 //! the breadth-first explosion and the queue contention of a pure
 //! worklist scheme never materialize, while still keeping *just enough*
 //! shareable work around that no block sits idle.
+//!
+//! With a batch of `k > 1` the block amortizes that queue traffic: a
+//! hungry worklist gets nothing until the local stack holds `k` nodes,
+//! and then receives the child plus the `k − 1` newest stack entries in
+//! **one negotiation**. A batch of 1 is Figure 4 exactly.
 
 use parvc_simgpu::counters::{Activity, BlockCounters};
 use parvc_simgpu::runtime::BlockCtx;
@@ -23,6 +29,10 @@ use crate::ops::Kernel;
 use crate::shared::BoundSrc;
 use crate::TreeNode;
 
+/// How many children a [`Algorithm::Batched`](crate::Algorithm::Batched)
+/// block hands off in one queue negotiation.
+pub const DEFAULT_BATCH: usize = 8;
+
 /// Hybrid tuning knobs. The paper sweeps worklist sizes of 128K–512K
 /// entries and thresholds of 0.25–1.0× the size.
 #[derive(Debug, Clone)]
@@ -32,8 +42,6 @@ pub struct HybridParams {
     /// Donation threshold, as a fraction of capacity: donate only while
     /// `numEntries < threshold_frac * capacity` (Figure 4 line 23).
     pub threshold_frac: f64,
-    /// Starved-block poll sleep (§IV-C "sleep for some time").
-    pub poll_sleep: std::time::Duration,
 }
 
 impl Default for HybridParams {
@@ -41,7 +49,6 @@ impl Default for HybridParams {
         HybridParams {
             worklist_capacity: 1 << 14,
             threshold_frac: 0.75,
-            poll_sleep: std::time::Duration::from_micros(50),
         }
     }
 }
@@ -53,20 +60,23 @@ impl HybridParams {
     }
 }
 
-/// Shared state: the §IV-C worklist plus the donation threshold.
+/// Shared state: the §IV-C worklist, the donation threshold, and the
+/// batch size.
 pub struct HybridFactory {
     worklist: Worklist<TreeNode>,
     threshold: usize,
+    batch: usize,
 }
 
 impl HybridFactory {
-    /// A fresh factory (one per launch).
-    pub fn new(params: &HybridParams) -> Self {
-        let mut worklist = Worklist::with_capacity(params.worklist_capacity);
-        worklist.set_poll_sleep(params.poll_sleep);
+    /// A fresh factory (one per launch) handing off `batch` children
+    /// per negotiation: 1 for Figure 4, [`DEFAULT_BATCH`] for the
+    /// batched variant.
+    pub fn new(params: &HybridParams, batch: usize) -> Self {
         HybridFactory {
-            worklist,
+            worklist: Worklist::with_capacity(params.worklist_capacity),
             threshold: params.threshold_entries(),
+            batch,
         }
     }
 }
@@ -85,6 +95,7 @@ impl PolicyFactory for HybridFactory {
             worklist: &self.worklist,
             handle: self.worklist.handle(),
             threshold: self.threshold,
+            batch: self.batch,
             stack: LocalStack::with_depth_bound(depth_bound),
         })
     }
@@ -95,6 +106,7 @@ pub struct HybridPolicy<'a> {
     worklist: &'a Worklist<TreeNode>,
     handle: WorkerHandle<'a, TreeNode>,
     threshold: usize,
+    batch: usize,
     stack: LocalStack<TreeNode>,
 }
 
@@ -128,26 +140,41 @@ impl SchedulePolicy for HybridPolicy<'_> {
 
     fn dispose(&mut self, child: TreeNode, kernel: &Kernel<'_>, counters: &mut BlockCounters) {
         // Figure 4 lines 20–29: donate while the worklist is hungry,
-        // else keep the child on the local stack.
-        if self.handle.len_hint() >= self.threshold {
+        // else keep the child on the local stack. A batched block also
+        // keeps it until the stack holds a full batch, so one node of
+        // look-ahead stays local after the hand-off.
+        let hungry = self.handle.len_hint() < self.threshold;
+        if !hungry || (self.batch > 1 && self.stack.len() < self.batch) {
             kernel.charge_node_copy(child.len(), Activity::PushToStack, counters);
             self.push_local(child, counters);
-        } else {
-            let len = child.len();
-            match self.handle.add(child) {
+            return;
+        }
+        // The child, then the newest stack entries, until the batch is
+        // full: one negotiation amortized across all of them.
+        let mut handed = 0;
+        let mut next = Some(child);
+        while let Some(node) = next.take() {
+            let len = node.len();
+            match self.handle.add(node) {
                 Ok(()) => {
+                    handed += 1;
                     counters.nodes_donated += 1;
                     kernel.charge_node_copy(len, Activity::AddToWorklist, counters);
-                    counters.charge(Activity::AddToWorklist, kernel.cost.queue_op);
+                    if handed < self.batch {
+                        next = self.stack.pop();
+                    }
                 }
                 Err(back) => {
-                    // Queue filled between the check and the add: fall
-                    // back to the local stack (never drop work).
+                    // Queue filled between the check and the add: keep
+                    // the rest local (never drop work).
                     counters.donations_bounced += 1;
                     kernel.charge_node_copy(back.len(), Activity::PushToStack, counters);
                     self.push_local(back, counters);
                 }
             }
+        }
+        if handed > 0 {
+            counters.charge(Activity::AddToWorklist, kernel.cost.queue_op);
         }
     }
 

@@ -22,11 +22,8 @@
 //!   code versions as policies: the CPU baseline (Figure 1), prior
 //!   work's fixed-depth sub-tree scheme, and the contribution — local
 //!   stacks plus a threshold-gated global worklist (Figure 4).
-//! * [`stealing`] — a fourth policy beyond the paper: per-block
-//!   work-stealing deques, demonstrating the engine's extension seam.
-//! * [`batch`] — batched sub-tree hand-off ([`Algorithm::Batched`]):
-//!   Hybrid's worklist with donations amortized `k` children per
-//!   queue negotiation.
+//!   [`Algorithm::Batched`] is the Hybrid policy handing off
+//!   [`hybrid::DEFAULT_BATCH`] children per queue negotiation.
 //! * [`connect`] — the incremental union-find residual-connectivity
 //!   tracker behind [`split`]'s default backend.
 //! * [`split`] — in-search component branching (arXiv 2512.18334):
@@ -34,9 +31,11 @@
 //!   becomes a *component-sum node* whose per-component optima are
 //!   summed by independent budgeted sub-searches. Available under every
 //!   policy via [`SolverBuilder::component_branching`].
-//! * [`compsteal`] — the component-donating policy,
-//!   [`Algorithm::ComponentSteal`]: work stealing where adopted
-//!   component-sum nodes donate whole components to the steal pool.
+//! * [`compsteal`] — the steal-pool policy beyond the paper: per-block
+//!   work-stealing deques. [`Algorithm::ComponentSteal`] adopts
+//!   component-sum nodes and donates whole components to the pool;
+//!   [`Algorithm::WorkStealing`] is the same policy solving splits
+//!   inline.
 //! * [`Solver`] — the public façade: pick an [`Algorithm`], a
 //!   [`parvc_simgpu::DeviceSpec`], and call
 //!   [`solve_mvc`](Solver::solve_mvc) / [`solve_pvc`](Solver::solve_pvc)
@@ -65,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod batch;
 pub mod bound;
 pub mod brute;
 pub mod compsteal;
@@ -87,7 +85,6 @@ mod solver;
 pub mod split;
 pub mod stackonly;
 mod stats;
-pub mod stealing;
 pub mod verify;
 
 pub use approx::{ApproxCover, SeedStrategy};

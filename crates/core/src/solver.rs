@@ -20,20 +20,18 @@ use parvc_simgpu::exec::{ExecutorSpec, ParallelExecutor};
 use parvc_simgpu::occupancy::{select_launch, LaunchRequest};
 use parvc_simgpu::{CostModel, DeviceSpec, KernelVariant, LaunchConfig};
 
-use crate::batch::{BatchFactory, DEFAULT_BATCH};
 use crate::compsteal::CompStealFactory;
 use parvc_obs::{RecordingSink, Sink, SpanTimer};
 
 use crate::engine::{Engine, EngineObs, PolicyFactory, SearchMode, SearchOutcome};
 use crate::extensions::Extensions;
 use crate::greedy::{greedy_mvc_bounded, greedy_weighted_mvc_bounded};
-use crate::hybrid::{HybridFactory, HybridParams};
+use crate::hybrid::{HybridFactory, HybridParams, DEFAULT_BATCH};
 use crate::sequential::SequentialFactory;
 use crate::shared::Deadline;
 use crate::split::SplitParams;
 use crate::stackonly::{StackOnlyFactory, StackOnlyParams};
 use crate::stats::{MvcResult, PvcResult, SolveStats};
-use crate::stealing::{StealFactory, StealParams};
 
 /// Kernel components smaller than this run inline on the calling
 /// thread (single block, same scheduling policy): spawning a resident
@@ -42,7 +40,9 @@ use crate::stealing::{StealFactory, StealParams};
 const PREP_INLINE_BELOW: u32 = 64;
 
 /// Which scheduling policy drives the engine — the three code versions
-/// of §V-A plus the work-stealing extension.
+/// of §V-A plus the steal-pool extension. Six names, four
+/// implementations: Batched is Hybrid with a batch, and WorkStealing is
+/// ComponentSteal without split adoption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// Single-CPU-thread branch-and-reduce (the reference baseline).
@@ -56,11 +56,12 @@ pub enum Algorithm {
     /// The paper's hybrid local-stack + global-worklist scheme.
     Hybrid,
     /// Per-block deques with steal-based balancing (beyond the paper;
-    /// see [`crate::stealing`]).
+    /// see [`crate::compsteal`]): the steal pool with split adoption
+    /// off, so component-sum nodes are solved inline.
     WorkStealing,
-    /// Hybrid's worklist with donations amortized in batches of `k`
-    /// children per queue negotiation (see [`crate::batch`]) — the
-    /// ROADMAP's *batched sub-tree hand-off* follow-on.
+    /// Hybrid's worklist with donations amortized in batches of
+    /// [`DEFAULT_BATCH`](crate::hybrid::DEFAULT_BATCH) children per
+    /// queue negotiation (see [`crate::hybrid`]).
     Batched,
     /// Work stealing where adopted component-sum nodes donate **whole
     /// components** to the steal pool — the natural work unit of
@@ -68,6 +69,25 @@ pub enum Algorithm {
     /// component branching: [`SolverBuilder::build`] enables it with
     /// default [`SplitParams`] unless configured explicitly.
     ComponentSteal,
+}
+
+impl Algorithm {
+    /// Parses a `--policy` name: `seq`, `stack`, `hybrid`, `steal`,
+    /// `batch` or `compsteal`, or one of their long forms. `stack`
+    /// starts at depth 8.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "hybrid" => Ok(Algorithm::Hybrid),
+            "seq" | "sequential" => Ok(Algorithm::Sequential),
+            "stack" | "stackonly" => Ok(Algorithm::StackOnly { start_depth: 8 }),
+            "steal" | "worksteal" | "workstealing" => Ok(Algorithm::WorkStealing),
+            "batch" | "batched" => Ok(Algorithm::Batched),
+            "compsteal" | "componentsteal" => Ok(Algorithm::ComponentSteal),
+            _ => Err(format!(
+                "unknown policy '{s}' (seq|stack|hybrid|steal|batch|compsteal)"
+            )),
+        }
+    }
 }
 
 impl std::fmt::Display for Algorithm {
@@ -114,7 +134,6 @@ pub struct SolverBuilder {
     device: DeviceSpec,
     cost: CostModel,
     hybrid: HybridParams,
-    steal: StealParams,
     force_variant: Option<KernelVariant>,
     force_block_size: Option<u32>,
     grid_limit: Option<u32>,
@@ -123,7 +142,6 @@ pub struct SolverBuilder {
     record_trace: bool,
     prep: Option<PrepConfig>,
     pub(crate) weighted: bool,
-    batch_size: usize,
     executor: ExecutorSpec,
     telemetry: Option<parvc_obs::TelemetryConfig>,
     progress: Option<std::time::Duration>,
@@ -143,7 +161,6 @@ impl Default for SolverBuilder {
             device: DeviceSpec::scaled(8),
             cost: CostModel::default(),
             hybrid: HybridParams::default(),
-            steal: StealParams::default(),
             force_variant: None,
             force_block_size: None,
             grid_limit: Some(32),
@@ -152,7 +169,6 @@ impl Default for SolverBuilder {
             record_trace: false,
             prep: None,
             weighted: false,
-            batch_size: DEFAULT_BATCH,
             executor: ExecutorSpec::default(),
             telemetry: None,
             progress: None,
@@ -194,14 +210,6 @@ impl SolverBuilder {
             "threshold fraction must be in [0,1]"
         );
         self.hybrid.threshold_frac = frac;
-        self
-    }
-
-    /// Starved-block poll sleep (Hybrid and WorkStealing; default
-    /// 50µs).
-    pub fn poll_sleep(mut self, d: std::time::Duration) -> Self {
-        self.hybrid.poll_sleep = d;
-        self.steal.poll_sleep = d;
         self
     }
 
@@ -354,13 +362,6 @@ impl SolverBuilder {
     /// so the heartbeat does not perturb the search.
     pub fn progress(mut self, interval: std::time::Duration) -> Self {
         self.progress = Some(interval);
-        self
-    }
-
-    /// Children handed off per queue negotiation by the
-    /// [`Algorithm::Batched`] policy (default 8; clamped to >= 1).
-    pub fn batch_size(mut self, k: usize) -> Self {
-        self.batch_size = k.max(1);
         self
     }
 
@@ -918,24 +919,14 @@ impl Solver {
             Algorithm::StackOnly { start_depth } => {
                 Box::new(StackOnlyFactory::new(StackOnlyParams { start_depth }))
             }
-            Algorithm::Hybrid => Box::new(HybridFactory::new(&self.cfg.hybrid)),
-            Algorithm::Batched => {
-                Box::new(BatchFactory::new(&self.cfg.hybrid, self.cfg.batch_size))
-            }
-            Algorithm::WorkStealing => {
-                let workers = launch.as_ref().map_or(1, |l| l.grid_blocks);
-                Box::new(StealFactory::new(
-                    workers as usize,
-                    depth_bound,
-                    &self.cfg.steal,
-                ))
-            }
-            Algorithm::ComponentSteal => {
+            Algorithm::Hybrid => Box::new(HybridFactory::new(&self.cfg.hybrid, 1)),
+            Algorithm::Batched => Box::new(HybridFactory::new(&self.cfg.hybrid, DEFAULT_BATCH)),
+            Algorithm::WorkStealing | Algorithm::ComponentSteal => {
                 let workers = launch.as_ref().map_or(1, |l| l.grid_blocks);
                 Box::new(CompStealFactory::new(
                     workers as usize,
                     depth_bound,
-                    &self.cfg.steal,
+                    self.cfg.algorithm == Algorithm::ComponentSteal,
                 ))
             }
         };
@@ -1074,6 +1065,31 @@ mod tests {
                 .grid_limit(Some(8))
                 .build(),
         ]
+    }
+
+    #[test]
+    fn every_policy_name_parses() {
+        let names = [
+            ("hybrid", Algorithm::Hybrid),
+            ("seq", Algorithm::Sequential),
+            ("sequential", Algorithm::Sequential),
+            ("stack", Algorithm::StackOnly { start_depth: 8 }),
+            ("stackonly", Algorithm::StackOnly { start_depth: 8 }),
+            ("steal", Algorithm::WorkStealing),
+            ("worksteal", Algorithm::WorkStealing),
+            ("workstealing", Algorithm::WorkStealing),
+            ("batch", Algorithm::Batched),
+            ("batched", Algorithm::Batched),
+            ("compsteal", Algorithm::ComponentSteal),
+            ("componentsteal", Algorithm::ComponentSteal),
+        ];
+        for (name, algorithm) in names {
+            assert_eq!(Algorithm::parse(name), Ok(algorithm), "{name}");
+        }
+        assert_eq!(
+            Algorithm::parse("Hybrid"),
+            Err("unknown policy 'Hybrid' (seq|stack|hybrid|steal|batch|compsteal)".to_string())
+        );
     }
 
     #[test]

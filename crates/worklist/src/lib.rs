@@ -33,3 +33,8 @@ pub use broker::BrokerQueue;
 pub use stack::LocalStack;
 pub use steal::{StealHandle, StealOutcome, StealPool, StealSource};
 pub use termination::{PopOutcome, PopStats, WorkerHandle, Worklist};
+
+/// How long a starved block sleeps between polls of the [`Worklist`]
+/// or scans of the [`StealPool`] — the paper's "let the thread block
+/// sleep for some time" (§IV-C).
+const POLL_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);

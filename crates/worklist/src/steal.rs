@@ -18,9 +18,8 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
-use crate::PopStats;
+use crate::{PopStats, POLL_SLEEP};
 
 /// Where a successful steal-pool pop found its item — callers charge
 /// different activities for a local pop vs. a steal.
@@ -64,8 +63,6 @@ pub struct StealPool<T> {
     steals_from: Vec<AtomicU64>,
     /// Failed full scans (starvation metric).
     failed_scans: AtomicU64,
-    /// How long a starved worker sleeps between scans.
-    poll_sleep: Duration,
 }
 
 impl<T> StealPool<T> {
@@ -82,13 +79,7 @@ impl<T> StealPool<T> {
             steals: AtomicU64::new(0),
             steals_from: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             failed_scans: AtomicU64::new(0),
-            poll_sleep: Duration::from_micros(50),
         }
-    }
-
-    /// Overrides the starvation poll sleep (default 50µs).
-    pub fn set_poll_sleep(&mut self, d: Duration) {
-        self.poll_sleep = d;
     }
 
     /// Number of worker deques.
@@ -215,7 +206,7 @@ impl<T> StealHandle<'_, T> {
                 break StealOutcome::Done;
             }
             stats.sleeps += 1;
-            std::thread::sleep(self.pool.poll_sleep);
+            std::thread::sleep(POLL_SLEEP);
         };
         (outcome, stats)
     }
@@ -256,6 +247,7 @@ impl<T> Drop for StealHandle<'_, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn single_worker_lifo_and_terminates() {

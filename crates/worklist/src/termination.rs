@@ -20,9 +20,8 @@
 //!   in-flight work — exactly the paper's condition, race-free.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
 
-use crate::BrokerQueue;
+use crate::{BrokerQueue, POLL_SLEEP};
 
 /// Effort statistics for one [`WorkerHandle::pop_with_stats`] call.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +59,6 @@ pub struct Worklist<T> {
     waiting: AtomicUsize,
     /// Total failed pop attempts (contention/starvation metric).
     failed_pops: AtomicU64,
-    /// How long a starved block sleeps between polls, mirroring the
-    /// paper's "let the thread block sleep for some time".
-    poll_sleep: Duration,
 }
 
 impl<T> Worklist<T> {
@@ -74,13 +70,7 @@ impl<T> Worklist<T> {
             done: AtomicBool::new(false),
             waiting: AtomicUsize::new(0),
             failed_pops: AtomicU64::new(0),
-            poll_sleep: Duration::from_micros(50),
         }
-    }
-
-    /// Overrides the starvation poll sleep (default 50µs).
-    pub fn set_poll_sleep(&mut self, d: Duration) {
-        self.poll_sleep = d;
     }
 
     /// Seeds the worklist before launch. Panics if the queue is full —
@@ -194,7 +184,7 @@ impl<'a, T> WorkerHandle<'a, T> {
                 break PopOutcome::Done;
             }
             stats.sleeps += 1;
-            std::thread::sleep(self.wl.poll_sleep);
+            std::thread::sleep(POLL_SLEEP);
         };
         if registered_waiting {
             self.wl.waiting.fetch_sub(1, Ordering::AcqRel);
@@ -223,6 +213,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn single_worker_drains_and_terminates() {

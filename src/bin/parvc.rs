@@ -717,6 +717,20 @@ fn parse_prep_rules(list: Option<&String>) -> PrepConfig {
     cfg
 }
 
+/// The `--policy` value, or its historical alias `--algorithm`
+/// (default `hybrid`), exiting on an unknown name.
+fn policy_or_exit(flags: &Flags) -> Algorithm {
+    let name = flags
+        .options
+        .get("policy")
+        .or_else(|| flags.options.get("algorithm"));
+    name.map_or(Ok(Algorithm::Hybrid), |p| Algorithm::parse(p))
+        .unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2);
+        })
+}
+
 fn cmd_solve(args: &[String]) {
     let flags = parse_flags_or_exit(
         args,
@@ -744,24 +758,7 @@ fn cmd_solve(args: &[String]) {
         std::process::exit(2);
     };
     let g = load_instance(path, flags.options.get("format").map(String::as_str));
-    // --policy names the engine's SchedulePolicy; --algorithm is the
-    // historical alias.
-    let policy = flags
-        .options
-        .get("policy")
-        .or_else(|| flags.options.get("algorithm"));
-    let algorithm = match policy.map(String::as_str) {
-        None | Some("hybrid") => Algorithm::Hybrid,
-        Some("seq") | Some("sequential") => Algorithm::Sequential,
-        Some("stack") | Some("stackonly") => Algorithm::StackOnly { start_depth: 8 },
-        Some("steal") | Some("worksteal") | Some("workstealing") => Algorithm::WorkStealing,
-        Some("batch") | Some("batched") => Algorithm::Batched,
-        Some("compsteal") | Some("componentsteal") => Algorithm::ComponentSteal,
-        Some(other) => {
-            eprintln!("unknown policy '{other}' (seq|stack|hybrid|steal|batch|compsteal)");
-            std::process::exit(2);
-        }
-    };
+    let algorithm = policy_or_exit(&flags);
     let mut builder = Solver::builder().algorithm(algorithm);
     if let Some(d) = flags.options.get("deadline") {
         builder = builder.deadline(Some(Duration::from_secs_f64(
@@ -1070,22 +1067,7 @@ fn cmd_resolve(args: &[String]) {
     let g = load_instance(path, flags.options.get("format").map(String::as_str));
     let edits = load_edits(edit_spec, &g);
 
-    let policy = flags
-        .options
-        .get("policy")
-        .or_else(|| flags.options.get("algorithm"));
-    let algorithm = match policy.map(String::as_str) {
-        None | Some("hybrid") => Algorithm::Hybrid,
-        Some("seq") | Some("sequential") => Algorithm::Sequential,
-        Some("stack") | Some("stackonly") => Algorithm::StackOnly { start_depth: 8 },
-        Some("steal") | Some("worksteal") | Some("workstealing") => Algorithm::WorkStealing,
-        Some("batch") | Some("batched") => Algorithm::Batched,
-        Some("compsteal") | Some("componentsteal") => Algorithm::ComponentSteal,
-        Some(other) => {
-            eprintln!("unknown policy '{other}' (seq|stack|hybrid|steal|batch|compsteal)");
-            std::process::exit(2);
-        }
-    };
+    let algorithm = policy_or_exit(&flags);
     let mut builder = Solver::builder().algorithm(algorithm);
     if let Some(d) = flags.options.get("deadline") {
         builder = builder.deadline(Some(Duration::from_secs_f64(
@@ -1281,18 +1263,7 @@ fn cmd_serve(args: &[String]) {
         &[],
         &["no-prep"],
     );
-    let algorithm = match flags.options.get("policy").map(String::as_str) {
-        None | Some("hybrid") => Algorithm::Hybrid,
-        Some("seq") | Some("sequential") => Algorithm::Sequential,
-        Some("stack") | Some("stackonly") => Algorithm::StackOnly { start_depth: 8 },
-        Some("steal") | Some("worksteal") | Some("workstealing") => Algorithm::WorkStealing,
-        Some("batch") | Some("batched") => Algorithm::Batched,
-        Some("compsteal") | Some("componentsteal") => Algorithm::ComponentSteal,
-        Some(other) => {
-            eprintln!("unknown policy '{other}' (seq|stack|hybrid|steal|batch|compsteal)");
-            std::process::exit(2);
-        }
-    };
+    let algorithm = policy_or_exit(&flags);
     let executor = match flags.options.get("exec") {
         Some(spec) => ExecutorSpec::parse(spec).unwrap_or_else(|e| {
             eprintln!("--exec: {e}");

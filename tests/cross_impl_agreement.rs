@@ -1,5 +1,6 @@
 //! Cross-policy agreement: every scheduling policy of the engine —
-//! Sequential, StackOnly, Hybrid, WorkStealing, Batched — must
+//! Sequential, StackOnly, Hybrid, WorkStealing, Batched,
+//! ComponentSteal — must
 //! produce identical MVC sizes (and consistent PVC answers, and
 //! identical weighted-MVC weights) on randomized instances, all
 //! validated against the brute-force oracles.
@@ -40,6 +41,13 @@ fn solvers() -> Vec<(&'static str, Solver)> {
             "batch",
             Solver::builder()
                 .algorithm(Algorithm::Batched)
+                .grid_limit(Some(6))
+                .build(),
+        ),
+        (
+            "compsteal",
+            Solver::builder()
+                .algorithm(Algorithm::ComponentSteal)
                 .grid_limit(Some(6))
                 .build(),
         ),
@@ -138,7 +146,7 @@ fn arb_corpus_graph() -> impl Strategy<Value = (&'static str, CsrGraph)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole invariant: all four scheduling policies return the
+    /// The tentpole invariant: every scheduling policy returns the
     /// same optimal MVC size and a verified cover across the corpus —
     /// with kernelization **off and on** — using Sequential (itself
     /// brute-force-validated above) as the reference.
@@ -295,36 +303,31 @@ fn hybrid_grid_sizes_agree() {
 
 #[test]
 fn batch_sizes_and_grids_agree() {
-    // The batched hand-off policy must stay exact across batch sizes
-    // (1 degenerates to per-child donation, large batches rarely
-    // flush) and grid widths, and its donation counters must show the
-    // batching actually engaged on a multi-block run.
-    let g = gen::barabasi_albert(70, 4, 11);
+    // Hybrid (batch 1) and Batched (batch 8) must stay exact across
+    // grid widths, and the batched hand-off must actually engage on a
+    // multi-block run (the search tree must be deep enough for the
+    // local stack to fill a batch).
+    let g = gen::p_hat_complement(60, 2, 5);
     let expect = Solver::builder()
         .algorithm(Algorithm::Sequential)
         .build()
         .solve_mvc(&g)
         .size;
-    for batch in [1, 4, 64] {
+    for algorithm in [Algorithm::Hybrid, Algorithm::Batched] {
         for grid in [1, 4, 8] {
-            let solver = Solver::builder()
-                .algorithm(Algorithm::Batched)
-                .batch_size(batch)
+            let r = Solver::builder()
+                .algorithm(algorithm)
                 .grid_limit(Some(grid))
-                .build();
-            let r = solver.solve_mvc(&g);
-            assert_eq!(r.size, expect, "batch {batch} grid {grid}");
+                .build()
+                .solve_mvc(&g);
+            assert_eq!(r.size, expect, "{algorithm} grid {grid}");
             assert!(is_vertex_cover(&g, &r.cover));
+            if algorithm == Algorithm::Batched && grid == 8 {
+                let donated: u64 = r.stats.report.blocks.iter().map(|b| b.nodes_donated).sum();
+                assert!(donated > 0, "batched policy never handed off a batch");
+            }
         }
     }
-    let r = Solver::builder()
-        .algorithm(Algorithm::Batched)
-        .batch_size(4)
-        .grid_limit(Some(8))
-        .build()
-        .solve_mvc(&g);
-    let donated: u64 = r.stats.report.blocks.iter().map(|b| b.nodes_donated).sum();
-    assert!(donated > 0, "batched policy never handed off a batch");
 }
 
 #[test]
