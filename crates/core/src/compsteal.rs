@@ -237,7 +237,7 @@ impl SchedulePolicy for CompStealPolicy<'_> {
                 StealOutcome::Item(task, StealSource::Own) => (task, Activity::PopFromStack),
                 StealOutcome::Item(task, StealSource::Stolen { victim }) => {
                     // A steal pays like a worklist remove: the scan
-                    // attempts, the starvation naps, and the node copy.
+                    // attempts, the starvation waits, and the node copy.
                     counters.charge(
                         Activity::RemoveFromWorklist,
                         stats.attempts * kernel.cost.queue_op

@@ -34,9 +34,9 @@ use crate::stackonly::{StackOnlyFactory, StackOnlyParams};
 use crate::stats::{MvcResult, PvcResult, SolveStats};
 
 /// Kernel components smaller than this run inline on the calling
-/// thread (single block, same scheduling policy): spawning a resident
-/// grid of OS threads per 20-vertex component would cost more than the
-/// whole sub-search.
+/// thread (single block, same scheduling policy): launching a resident
+/// grid per 20-vertex component (a thread handoff per block plus a
+/// fresh worklist) would cost more than the whole sub-search.
 const PREP_INLINE_BELOW: u32 = 64;
 
 /// Which scheduling policy drives the engine — the three code versions
@@ -1167,29 +1167,30 @@ mod tests {
 
     #[test]
     fn work_stealing_on_denser_graph() {
-        // Large enough a tree (~400 nodes) that stealing must engage.
-        let g = gen::p_hat_complement(60, 2, 5);
-        let seq = Solver::builder()
-            .algorithm(Algorithm::Sequential)
-            .build()
-            .solve_mvc(&g);
+        // Trees of a few hundred nodes each. One solve can finish on
+        // one block before a peer is scheduled, so whether stealing
+        // engaged is judged over the whole batch, not per solve.
         let ws = Solver::builder()
             .algorithm(Algorithm::WorkStealing)
             .grid_limit(Some(8))
             .build();
-        let r = ws.solve_mvc(&g);
-        assert_eq!(r.size, seq.size);
-        assert!(is_vertex_cover(&g, &r.cover));
-        // Steals show up in the worklist-consumption counter, proving
-        // the balancing actually engaged.
-        let stolen: u64 = r
-            .stats
-            .report
-            .blocks
-            .iter()
-            .map(|b| b.nodes_from_worklist)
-            .sum();
-        assert!(stolen > 0, "no block ever stole on a non-trivial instance");
+        let seq = Solver::builder().algorithm(Algorithm::Sequential).build();
+        let mut stolen = 0;
+        for seed in 5..13 {
+            let g = gen::p_hat_complement(60, 2, seed);
+            let r = ws.solve_mvc(&g);
+            assert_eq!(r.size, seq.solve_mvc(&g).size, "seed {seed}");
+            assert!(is_vertex_cover(&g, &r.cover));
+            // Steals show up in the worklist-consumption counter.
+            stolen += r
+                .stats
+                .report
+                .blocks
+                .iter()
+                .map(|b| b.nodes_from_worklist)
+                .sum::<u64>();
+        }
+        assert!(stolen > 0, "no block stole in eight non-trivial solves");
     }
 
     #[test]

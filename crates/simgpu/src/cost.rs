@@ -30,7 +30,9 @@ pub struct CostModel {
     pub queue_op: u64,
     /// Cost of a single global atomic (e.g. updating `best`).
     pub atomic_op: u64,
-    /// Cycles charged for one starvation poll sleep (§IV-C wait loop).
+    /// Cycles charged per `POLL_SLEEP` interval a starved block waits
+    /// in the §IV-C wait loop. A wait is counted in whole intervals,
+    /// rounded up, so one cut short by a donation costs one.
     pub poll_sleep: u64,
     /// Cost of copying one intermediate graph (stack push/pop moves a
     /// degree array between the working area and the stack), per vertex.

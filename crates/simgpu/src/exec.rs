@@ -200,13 +200,21 @@ impl ChunkSlots {
 ///
 /// `slots` is caller-owned scratch (per-block, reused across calls);
 /// `out` is cleared first.
-pub fn gather_indices(
+///
+/// The predicate is statically dispatched: a single-chunk pass (every
+/// pass under [`SerialExec`], and every pass below [`MIN_PARALLEL`]
+/// items under any executor) compiles to a direct loop with `pred`
+/// inlined. Only a chunked pass goes through
+/// [`ParallelExecutor::dispatch`].
+pub fn gather_indices<P>(
     exec: &dyn ParallelExecutor,
     n: usize,
-    pred: &(dyn Fn(u32) -> bool + Sync),
+    pred: &P,
     slots: &mut ChunkSlots,
     out: &mut Vec<u32>,
-) {
+) where
+    P: Fn(u32) -> bool + Sync,
+{
     out.clear();
     let chunks = exec.chunks_for(n);
     if chunks <= 1 {

@@ -16,8 +16,8 @@
 //!   `ceil(n/B)` parallel steps. Per-activity cycle counters regenerate
 //!   the paper's Figure 6 breakdown; per-SM aggregation regenerates
 //!   Figure 5.
-//! * [`runtime`] — thread blocks as OS threads, mapped round-robin onto
-//!   virtual SMs.
+//! * [`runtime`] — thread blocks as resident OS threads, mapped
+//!   round-robin onto virtual SMs.
 //! * [`exec`] — the intra-block data-parallel seam: accounting always
 //!   follows the `ceil(n/B)` model above, but the flat passes behind
 //!   it can *actually execute* chunked across a worker pool

@@ -1,12 +1,25 @@
-//! Thread blocks as OS threads.
+//! Thread blocks as resident OS threads.
 //!
 //! The persistent-kernel execution style the paper uses launches exactly
 //! as many blocks as the device can keep resident (the [`LaunchConfig`]
 //! grid), and every block loops taking work until the traversal ends. We
-//! reproduce that one-to-one: one OS thread per resident block, mapped
-//! round-robin onto virtual SMs. Real synchronization (the worklist's
-//! atomics) happens between real threads; only intra-block parallelism
-//! is cost-modeled.
+//! reproduce that one-to-one: every block of a launch runs on its own OS
+//! thread, mapped round-robin onto virtual SMs. Real synchronization
+//! (the worklist's atomics) happens between real threads; only
+//! intra-block parallelism is cost-modeled.
+//!
+//! The threads stay resident across launches, like the paper's
+//! persistent blocks. Block 0 runs on the launching thread itself.
+//! Blocks `1..n` run on that thread's pool of parked helper threads,
+//! created by its first multi-block launch and grown when a later launch
+//! needs more blocks. A launch is then a condvar handoff instead of `n`
+//! thread spawns and joins, and a one-block launch uses no extra thread
+//! at all. The pool leaves its thread-local cell for the duration of a
+//! launch, so a launch from inside a block builds a pool of its own.
+
+use std::cell::Cell;
+
+use scoped_threadpool::Pool;
 
 use crate::counters::BlockCounters;
 use crate::{DeviceSpec, LaunchConfig};
@@ -22,44 +35,81 @@ pub struct BlockCtx {
     pub block_size: u32,
 }
 
-/// Runs `body` once per grid block on its own OS thread and returns the
-/// per-block counters in block-id order.
+thread_local! {
+    /// This thread's parked helper threads, which run blocks `1..n` of
+    /// its launches. `None` until the first multi-block launch, and
+    /// while a launch has the pool out.
+    static HELPERS: Cell<Option<Pool>> = const { Cell::new(None) };
+}
+
+/// The launching thread's helper pool, out of its cell for one launch.
+/// Dropping it (also while unwinding from a block panic) puts it back,
+/// in place of any pool a launch nested inside block 0 left there.
+struct Helpers(Option<Pool>);
+
+impl Helpers {
+    /// Takes this thread's pool, replacing it with a larger one if it
+    /// has fewer than `blocks` threads.
+    fn take(blocks: u32) -> Helpers {
+        let pool = HELPERS
+            .take()
+            .filter(|p| p.thread_count() >= blocks)
+            .unwrap_or_else(|| Pool::new(blocks));
+        Helpers(Some(pool))
+    }
+
+    fn pool(&mut self) -> &mut Pool {
+        self.0.as_mut().expect("the pool is out until drop")
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        HELPERS.set(self.0.take());
+    }
+}
+
+/// Runs `body` once per grid block, each block on its own resident OS
+/// thread, and returns the per-block counters in block-id order.
 ///
 /// `body` receives the block's context and its fresh counters; whatever
 /// state blocks share (worklist, `best`, the CSR graph) is captured by
 /// the closure's environment, exactly like kernel arguments in global
-/// memory.
+/// memory. Block 0 runs on the calling thread; blocks `1..n` on its
+/// parked helper threads (see the module docs). A panicking block
+/// propagates to the caller once every block has returned, like a
+/// faulting kernel aborting the launch.
 pub fn run_blocks<F>(device: &DeviceSpec, config: &LaunchConfig, body: F) -> Vec<BlockCounters>
 where
     F: Fn(BlockCtx, &mut BlockCounters) + Sync,
 {
-    let n = config.grid_blocks;
-    let mut results: Vec<Option<BlockCounters>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (block_id, slot) in results.iter_mut().enumerate() {
-            let body = &body;
-            let ctx = BlockCtx {
-                block_id: block_id as u32,
-                sm_id: device.sm_of_block(block_id as u32),
-                block_size: config.block_size,
-            };
-            let record_trace = config.record_trace;
-            // A panicking block propagates when the scope joins, like
-            // a faulting kernel aborting the launch.
-            s.spawn(move || {
-                let mut counters = BlockCounters::new(ctx.block_id);
-                if record_trace {
-                    counters.enable_tracing();
-                }
-                body(ctx, &mut counters);
-                *slot = Some(counters);
-            });
+    let run = |block_id: u32| {
+        let ctx = BlockCtx {
+            block_id,
+            sm_id: device.sm_of_block(block_id),
+            block_size: config.block_size,
+        };
+        let mut counters = BlockCounters::new(block_id);
+        if config.record_trace {
+            counters.enable_tracing();
         }
+        body(ctx, &mut counters);
+        counters
+    };
+    let n = config.grid_blocks;
+    if n <= 1 {
+        return (0..n).map(run).collect();
+    }
+    let mut rest: Vec<Option<BlockCounters>> = (1..n).map(|_| None).collect();
+    let mut helpers = Helpers::take(n - 1);
+    let first = helpers.pool().scoped(|scope| {
+        for (block_id, slot) in (1..).zip(&mut rest) {
+            scope.execute(move || *slot = Some(run(block_id)));
+        }
+        run(0)
     });
-    results
-        .into_iter()
-        .map(|r| r.expect("every block ran"))
-        .collect()
+    let rest = rest.into_iter().map(|r| r.expect("every block ran"));
+    std::iter::once(first).chain(rest).collect()
 }
 
 #[cfg(test)]
@@ -67,7 +117,11 @@ mod tests {
     use super::*;
     use crate::counters::Activity;
     use crate::occupancy::{select_launch, LaunchRequest};
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Barrier, Mutex};
+    use std::thread::{self, ThreadId};
 
     fn config(grid: u32) -> LaunchConfig {
         let mut cfg = select_launch(
@@ -117,6 +171,115 @@ mod tests {
         let device = DeviceSpec::test_tiny(); // 2 SMs
         run_blocks(&device, &config(4), |ctx, _| {
             assert_eq!(ctx.sm_id, ctx.block_id % 2);
+        });
+    }
+
+    /// Runs a `grid`-block launch whose blocks all rendezvous before
+    /// returning (so each one holds a distinct thread), and returns the
+    /// thread each block ran on, in block-id order.
+    fn launch_threads(grid: u32) -> Vec<ThreadId> {
+        let device = DeviceSpec::test_tiny();
+        let barrier = Barrier::new(grid as usize);
+        let threads = Mutex::new(vec![None; grid as usize]);
+        run_blocks(&device, &config(grid), |ctx, _| {
+            barrier.wait();
+            threads.lock().unwrap()[ctx.block_id as usize] = Some(thread::current().id());
+        });
+        threads
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// Runs `f` on a fresh OS thread, whose helper pool starts empty.
+    fn on_fresh_thread(f: impl FnOnce() + Send) {
+        thread::scope(|s| {
+            s.spawn(f);
+        });
+    }
+
+    #[test]
+    fn block_zero_runs_on_the_callers_thread() {
+        on_fresh_thread(|| {
+            let me = thread::current().id();
+            // A one-block launch needs no helper thread at all.
+            assert_eq!(launch_threads(1), vec![me]);
+            assert!(HELPERS.take().is_none(), "grid 1 built a pool");
+            let threads = launch_threads(4);
+            assert_eq!(threads[0], me);
+            assert!(!threads[1..].contains(&me));
+        });
+    }
+
+    #[test]
+    fn consecutive_launches_reuse_the_helper_threads() {
+        on_fresh_thread(|| {
+            let first: HashSet<ThreadId> = launch_threads(4)[1..].iter().copied().collect();
+            assert_eq!(first.len(), 3, "blocks 1..4 each hold their own helper");
+            for _ in 0..5 {
+                let again: HashSet<ThreadId> = launch_threads(4)[1..].iter().copied().collect();
+                assert_eq!(again, first, "a repeated launch spawned threads");
+            }
+        });
+    }
+
+    #[test]
+    fn a_wider_launch_grows_the_pool() {
+        on_fresh_thread(|| {
+            let narrow: HashSet<ThreadId> = launch_threads(2)[1..].iter().copied().collect();
+            let wide: HashSet<ThreadId> = launch_threads(6)[1..].iter().copied().collect();
+            assert_eq!(narrow.len(), 1);
+            assert_eq!(wide.len(), 5, "the pool grew to the wider grid");
+            // The grown pool serves every narrower launch after it.
+            for grid in [2, 4, 6] {
+                let helpers: HashSet<ThreadId> =
+                    launch_threads(grid)[1..].iter().copied().collect();
+                assert!(helpers.is_subset(&wide), "grid {grid} spawned threads");
+            }
+        });
+    }
+
+    #[test]
+    fn a_panicking_block_reaches_the_caller_and_the_pool_survives() {
+        on_fresh_thread(|| {
+            let device = DeviceSpec::test_tiny();
+            let helpers: HashSet<ThreadId> = launch_threads(3)[1..].iter().copied().collect();
+            for culprit in [0, 2] {
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    run_blocks(&device, &config(3), |ctx, _| {
+                        if ctx.block_id == culprit {
+                            panic!("block {culprit} faulted");
+                        }
+                    })
+                }));
+                let payload = caught.expect_err("the block panic must reach the caller");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("block {culprit} faulted").as_str())
+                );
+                let after: HashSet<ThreadId> = launch_threads(3)[1..].iter().copied().collect();
+                assert_eq!(after, helpers, "the launch after a panic lost its pool");
+            }
+        });
+    }
+
+    #[test]
+    fn a_launch_from_inside_a_block_completes() {
+        on_fresh_thread(|| {
+            let device = DeviceSpec::test_tiny();
+            let inner_blocks = AtomicU64::new(0);
+            let outer = run_blocks(&device, &config(3), |_, _| {
+                let inner = run_blocks(&device, &config(4), |_, _| {
+                    inner_blocks.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(inner.len(), 4);
+            });
+            assert_eq!(outer.len(), 3);
+            assert_eq!(inner_blocks.load(Ordering::Relaxed), 12);
+            // The caller's pool is back in its cell and still serves.
+            assert_eq!(launch_threads(3).len(), 3);
         });
     }
 }

@@ -9,8 +9,10 @@
 //!   disturbs the ring.
 //! * [`Worklist`] — the paper's §IV-C modification layered on top: a
 //!   `remove` wrapped in a wait loop with exact quiescence detection, so
-//!   blocks keep polling while work may still arrive and all terminate
-//!   together once the traversal is provably finished.
+//!   blocks keep waiting while work may still arrive and all terminate
+//!   together once the traversal is provably finished. A starved block
+//!   parks until a donation, a termination signal or the release of the
+//!   last work token wakes it.
 //! * [`LocalStack`] — the pre-allocated per-block DFS stack whose depth
 //!   bound comes from the greedy approximation (§IV-E).
 //! * [`StealPool`] — per-block work-stealing deques: each block's DFS
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod broker;
+mod park;
 mod stack;
 mod steal;
 mod termination;
@@ -34,7 +37,8 @@ pub use stack::LocalStack;
 pub use steal::{StealHandle, StealOutcome, StealPool, StealSource};
 pub use termination::{PopOutcome, PopStats, WorkerHandle, Worklist};
 
-/// How long a starved block sleeps between polls of the [`Worklist`]
+/// The longest a starved block waits between polls of the [`Worklist`]
 /// or scans of the [`StealPool`] — the paper's "let the thread block
-/// sleep for some time" (§IV-C).
+/// sleep for some time" (§IV-C). A donation or termination wakes it
+/// sooner; the bound only caps what a missed wakeup can cost.
 const POLL_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);

@@ -13,13 +13,15 @@
 //! in [`crate::termination`]: every queued entry holds one token, every
 //! block holds one from obtaining work until its next pop, and
 //! `tokens == 0` ⇔ every deque empty ∧ every block starved — the
-//! quiescence condition, race-free.
+//! quiescence condition, race-free. A starved worker parks between
+//! scans like a starved worklist block does, and any push wakes it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::{PopStats, POLL_SLEEP};
+use crate::park::Parker;
+use crate::PopStats;
 
 /// Where a successful steal-pool pop found its item — callers charge
 /// different activities for a local pop vs. a steal.
@@ -63,6 +65,8 @@ pub struct StealPool<T> {
     steals_from: Vec<AtomicU64>,
     /// Failed full scans (starvation metric).
     failed_scans: AtomicU64,
+    /// Where starved workers wait for a push or for termination.
+    parker: Parker,
 }
 
 impl<T> StealPool<T> {
@@ -79,6 +83,7 @@ impl<T> StealPool<T> {
             steals: AtomicU64::new(0),
             steals_from: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             failed_scans: AtomicU64::new(0),
+            parker: Parker::new(),
         }
     }
 
@@ -96,6 +101,7 @@ impl<T> StealPool<T> {
     /// Signals early termination (the PVC "vertex cover found" flag).
     pub fn signal_done(&self) {
         self.done.store(true, Ordering::Release);
+        self.parker.notify();
     }
 
     /// Whether termination has been signalled or detected.
@@ -165,9 +171,13 @@ impl<T> StealHandle<'_, T> {
     pub fn push(&self, item: T) -> usize {
         debug_assert!(self.holds_token, "pushing while not processing");
         self.pool.tokens.fetch_add(1, Ordering::AcqRel);
-        let mut deque = self.pool.lock(self.me);
-        deque.push_back(item);
-        deque.len()
+        let len = {
+            let mut deque = self.pool.lock(self.me);
+            deque.push_back(item);
+            deque.len()
+        };
+        self.pool.parker.notify();
+        len
     }
 
     /// Length of this worker's own deque (racy snapshot).
@@ -177,8 +187,8 @@ impl<T> StealHandle<'_, T> {
 
     /// Pops the next item: own back first (LIFO), then peers' fronts
     /// (FIFO steal), with the token-based quiescence check between
-    /// scans. `attempts` counts whole-pool scans and `sleeps` the
-    /// starvation naps, mirroring [`crate::WorkerHandle`]'s stats.
+    /// scans. `attempts` counts whole-pool scans and `sleeps` the time
+    /// parked between them, mirroring [`crate::WorkerHandle`]'s stats.
     pub fn pop_with_stats(&mut self) -> (StealOutcome<T>, PopStats) {
         self.release_token();
         let mut stats = PopStats::default();
@@ -202,11 +212,13 @@ impl<T> StealHandle<'_, T> {
             // Quiescence: no queued entries and no busy workers anywhere
             // ⇒ nothing can ever be pushed again.
             if self.pool.tokens.load(Ordering::Acquire) == 0 {
-                self.pool.done.store(true, Ordering::Release);
+                self.pool.signal_done();
                 break StealOutcome::Done;
             }
-            stats.sleeps += 1;
-            std::thread::sleep(POLL_SLEEP);
+            let pool = self.pool;
+            stats.sleeps += pool.parker.park(|| {
+                pool.is_done() || pool.len_hint() > 0 || pool.tokens.load(Ordering::Acquire) == 0
+            });
         };
         (outcome, stats)
     }
@@ -231,8 +243,11 @@ impl<T> StealHandle<'_, T> {
     /// exits for a reason other than starvation).
     pub fn release_token(&mut self) {
         if self.holds_token {
-            self.pool.tokens.fetch_sub(1, Ordering::AcqRel);
             self.holds_token = false;
+            // The last token wakes the waiters to detect quiescence.
+            if self.pool.tokens.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.pool.parker.notify();
+            }
         }
     }
 }
@@ -247,7 +262,71 @@ impl<T> Drop for StealHandle<'_, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+
+    /// A wait cap no passing test comes near (see the worklist tests).
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// Parks worker 1 of a two-worker pool while worker 0 holds the
+    /// only token, runs `wake` once worker 1 is known to wait, and
+    /// returns what its pop got, with the time it took.
+    fn park_then<'p>(
+        pool: &'p StealPool<u32>,
+        wake: impl FnOnce(StealHandle<'p, u32>),
+    ) -> (StealOutcome<u32>, PopStats, Duration) {
+        pool.seed(0, 0);
+        let mut holder = pool.handle(0);
+        assert_eq!(holder.pop(), StealOutcome::Item(0, StealSource::Own));
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let start = Instant::now();
+                let (outcome, stats) = pool.handle(1).pop_with_stats();
+                (outcome, stats, start.elapsed())
+            });
+            pool.parker.await_waiters(1);
+            wake(holder);
+            waiter.join().unwrap()
+        })
+    }
+
+    fn long_capped() -> StealPool<u32> {
+        StealPool {
+            parker: Parker::with_cap(LONG),
+            ..StealPool::new(2, 8)
+        }
+    }
+
+    #[test]
+    fn a_parked_worker_wakes_to_steal_a_push() {
+        let pool = long_capped();
+        let (outcome, stats, waited) = park_then(&pool, |holder| {
+            holder.push(1);
+        });
+        assert_eq!(
+            outcome,
+            StealOutcome::Item(1, StealSource::Stolen { victim: 0 })
+        );
+        assert!(waited < LONG / 2, "woke after {waited:?}");
+        assert!(stats.sleeps <= 1, "one short wait is one interval");
+        assert!(!pool.is_done());
+    }
+
+    #[test]
+    fn a_parked_worker_ends_when_the_last_token_is_released() {
+        let pool = long_capped();
+        let (outcome, _, waited) = park_then(&pool, drop);
+        assert_eq!(outcome, StealOutcome::Done);
+        assert!(waited < LONG / 2, "woke after {waited:?}");
+        assert!(pool.is_done());
+    }
+
+    #[test]
+    fn a_parked_worker_ends_on_signal_done() {
+        let pool = long_capped();
+        let (outcome, _, waited) = park_then(&pool, |_holder| pool.signal_done());
+        assert_eq!(outcome, StealOutcome::Done);
+        assert!(waited < LONG / 2, "woke after {waited:?}");
+    }
 
     #[test]
     fn single_worker_lifo_and_terminates() {
@@ -381,7 +460,7 @@ mod tests {
                 }
                 got
             });
-            std::thread::sleep(Duration::from_millis(20));
+            pool.parker.await_waiters(1);
             assert!(!pool.is_done(), "must not terminate while a token is held");
             resume_tx.send(()).unwrap();
             let total = holder.join().unwrap() + starved.join().unwrap();

@@ -18,17 +18,25 @@
 //!   token, never while waiting);
 //! * therefore `tokens == 0` ⇔ queue empty ∧ all blocks waiting, with no
 //!   in-flight work — exactly the paper's condition, race-free.
+//!
+//! Where the paper lets a starved block "sleep for some time", ours
+//! parks on the worklist's [`Parker`]: a donation, an early-termination
+//! signal, or the release of the last token wakes it at once, and
+//! `POLL_SLEEP` only bounds the wait.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use crate::{BrokerQueue, POLL_SLEEP};
+use crate::park::Parker;
+use crate::BrokerQueue;
 
 /// Effort statistics for one [`WorkerHandle::pop_with_stats`] call.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PopStats {
     /// Pop attempts made (1 = immediate success).
     pub attempts: u64,
-    /// Starvation sleeps taken while waiting for peers to donate.
+    /// Time spent parked waiting for peers to donate, in whole
+    /// `POLL_SLEEP` intervals, rounded up per wait: a wait cut short
+    /// by a donation counts 1.
     pub sleeps: u64,
 }
 
@@ -54,9 +62,8 @@ pub struct Worklist<T> {
     /// Set once: either quiescence was detected or a PVC solution ended
     /// the search early.
     done: AtomicBool,
-    /// Number of blocks currently inside `pop` with no token — the
-    /// paper's "blocks trying to remove" count, kept for reporting.
-    waiting: AtomicUsize,
+    /// Where starved blocks wait for a donation or for termination.
+    parker: Parker,
     /// Total failed pop attempts (contention/starvation metric).
     failed_pops: AtomicU64,
 }
@@ -68,7 +75,7 @@ impl<T> Worklist<T> {
             queue: BrokerQueue::with_capacity(capacity),
             tokens: AtomicUsize::new(0),
             done: AtomicBool::new(false),
-            waiting: AtomicUsize::new(0),
+            parker: Parker::new(),
             failed_pops: AtomicU64::new(0),
         }
     }
@@ -96,6 +103,7 @@ impl<T> Worklist<T> {
     /// All subsequent and in-progress `pop`s return [`PopOutcome::Done`].
     pub fn signal_done(&self) {
         self.done.store(true, Ordering::Release);
+        self.parker.notify();
     }
 
     /// Whether termination has been signalled or detected.
@@ -135,7 +143,10 @@ impl<'a, T> WorkerHandle<'a, T> {
         debug_assert!(self.holds_token, "donating while not processing");
         self.wl.tokens.fetch_add(1, Ordering::AcqRel);
         match self.wl.queue.try_push(item) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.wl.parker.notify();
+                Ok(())
+            }
             Err(back) => {
                 self.wl.tokens.fetch_sub(1, Ordering::AcqRel);
                 Err(back)
@@ -149,7 +160,7 @@ impl<'a, T> WorkerHandle<'a, T> {
     }
 
     /// The §IV-C remove loop: releases this block's token (its previous
-    /// sub-tree is finished), then polls until work arrives or the
+    /// sub-tree is finished), then waits until work arrives or the
     /// traversal provably ends.
     pub fn pop(&mut self) -> PopOutcome<T> {
         self.pop_with_stats().0
@@ -161,7 +172,6 @@ impl<'a, T> WorkerHandle<'a, T> {
     pub fn pop_with_stats(&mut self) -> (PopOutcome<T>, PopStats) {
         self.release_token();
         let mut stats = PopStats::default();
-        let mut registered_waiting = false;
         let outcome = loop {
             stats.attempts += 1;
             if self.wl.done.load(Ordering::Acquire) {
@@ -173,22 +183,17 @@ impl<'a, T> WorkerHandle<'a, T> {
                 break PopOutcome::Item(item);
             }
             self.wl.failed_pops.fetch_add(1, Ordering::Relaxed);
-            if !registered_waiting {
-                self.wl.waiting.fetch_add(1, Ordering::AcqRel);
-                registered_waiting = true;
-            }
             // Quiescence: no queued entries and no busy blocks anywhere
             // ⇒ nothing can ever be added again.
             if self.wl.tokens.load(Ordering::Acquire) == 0 {
-                self.wl.done.store(true, Ordering::Release);
+                self.wl.signal_done();
                 break PopOutcome::Done;
             }
-            stats.sleeps += 1;
-            std::thread::sleep(POLL_SLEEP);
+            let wl = self.wl;
+            stats.sleeps += wl.parker.park(|| {
+                wl.is_done() || !wl.queue.is_empty_hint() || wl.tokens.load(Ordering::Acquire) == 0
+            });
         };
-        if registered_waiting {
-            self.wl.waiting.fetch_sub(1, Ordering::AcqRel);
-        }
         (outcome, stats)
     }
 
@@ -196,8 +201,11 @@ impl<'a, T> WorkerHandle<'a, T> {
     /// exits for a reason other than starvation, e.g. PVC found-flag).
     pub fn release_token(&mut self) {
         if self.holds_token {
-            self.wl.tokens.fetch_sub(1, Ordering::AcqRel);
             self.holds_token = false;
+            // The last token wakes the waiters to detect quiescence.
+            if self.wl.tokens.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.wl.parker.notify();
+            }
         }
     }
 }
@@ -213,7 +221,40 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+
+    /// A wait cap no passing test comes near: a missed wakeup shows up
+    /// as a 10 s stall, not as a flake around `POLL_SLEEP`.
+    const LONG: Duration = Duration::from_secs(10);
+
+    fn long_capped(capacity: usize) -> Worklist<u32> {
+        Worklist {
+            parker: Parker::with_cap(LONG),
+            ..Worklist::with_capacity(capacity)
+        }
+    }
+
+    /// Parks a starved block in `wl` while the caller's block holds the
+    /// only token, runs `wake` once the block is known to wait, and
+    /// returns what its pop got, with the time it took.
+    fn park_then<'w>(
+        wl: &'w Worklist<u32>,
+        wake: impl FnOnce(WorkerHandle<'w, u32>),
+    ) -> (PopOutcome<u32>, PopStats, Duration) {
+        wl.seed(0);
+        let mut holder = wl.handle();
+        assert_eq!(holder.pop(), PopOutcome::Item(0));
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let start = Instant::now();
+                let (outcome, stats) = wl.handle().pop_with_stats();
+                (outcome, stats, start.elapsed())
+            });
+            wl.parker.await_waiters(1);
+            wake(holder);
+            waiter.join().unwrap()
+        })
+    }
 
     #[test]
     fn single_worker_drains_and_terminates() {
@@ -261,39 +302,30 @@ mod tests {
     }
 
     #[test]
-    fn waiting_worker_wakes_when_peer_donates() {
-        let wl = Arc::new(Worklist::<u32>::with_capacity(8));
-        wl.seed(5);
-        std::thread::scope(|s| {
-            let wl_a = Arc::clone(&wl);
-            let consumer = s.spawn(move || {
-                let mut h = wl_a.handle();
-                let mut got = Vec::new();
-                loop {
-                    match h.pop() {
-                        PopOutcome::Item(i) => got.push(i),
-                        PopOutcome::Done => return got,
-                    }
-                }
-            });
-            let wl_b = Arc::clone(&wl);
-            s.spawn(move || {
-                let mut h = wl_b.handle();
-                // Take the seed, stall, then donate two more.
-                if let PopOutcome::Item(_) = h.pop() {
-                    std::thread::sleep(Duration::from_millis(10));
-                    h.add(6).unwrap();
-                    h.add(7).unwrap();
-                }
-                while let PopOutcome::Item(_) = h.pop() {}
-            });
-            let got = consumer.join().unwrap();
-            // The consumer never saw a spurious Done while the peer held
-            // its token; whatever it received came after the stall.
-            assert!(got.iter().all(|&i| i >= 6 || i == 5));
-        });
+    fn a_parked_block_wakes_for_a_donation() {
+        let wl = long_capped(8);
+        let (outcome, stats, waited) = park_then(&wl, |holder| holder.add(1).unwrap());
+        assert_eq!(outcome, PopOutcome::Item(1));
+        assert!(waited < LONG / 2, "woke after {waited:?}");
+        assert!(stats.sleeps <= 1, "one short wait is one interval");
+        assert!(!wl.is_done());
+    }
+
+    #[test]
+    fn a_parked_block_ends_when_the_last_token_is_released() {
+        let wl = long_capped(8);
+        let (outcome, _, waited) = park_then(&wl, drop);
+        assert_eq!(outcome, PopOutcome::Done);
+        assert!(waited < LONG / 2, "woke after {waited:?}");
         assert!(wl.is_done());
-        assert_eq!(wl.len_hint(), 0);
+    }
+
+    #[test]
+    fn a_parked_block_ends_on_signal_done() {
+        let wl = long_capped(8);
+        let (outcome, _, waited) = park_then(&wl, |_holder| wl.signal_done());
+        assert_eq!(outcome, PopOutcome::Done);
+        assert!(waited < LONG / 2, "woke after {waited:?}");
     }
 
     /// A miniature tree traversal: every worker pops a "node" carrying a
@@ -386,7 +418,7 @@ mod tests {
             popped_rx.recv().unwrap();
             let wl_starved = Arc::clone(&wl);
             let starved = s.spawn(move || drain(&wl_starved));
-            std::thread::sleep(Duration::from_millis(20));
+            wl.parker.await_waiters(1);
             assert!(!wl.is_done(), "must not terminate while a token is held");
             sender.send(()).unwrap();
             let a = holder.join().unwrap();
