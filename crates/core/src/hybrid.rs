@@ -61,7 +61,7 @@ impl HybridParams {
 }
 
 /// Shared state: the §IV-C worklist, the donation threshold, and the
-/// batch size.
+/// batch size. One per launch, or one per solve reset between launches.
 pub struct HybridFactory {
     worklist: Worklist<TreeNode>,
     threshold: usize,
@@ -78,6 +78,15 @@ impl HybridFactory {
             threshold: params.threshold_entries(),
             batch,
         }
+    }
+
+    /// Readies the factory for another launch on the same worklist
+    /// ring ([`Worklist::reset`]). The launch then runs exactly as on a
+    /// fresh factory: `solve_components` reuses one factory across
+    /// all of a solve's kernel components instead of allocating a ring
+    /// per component.
+    pub fn reset(&mut self) {
+        self.worklist.reset();
     }
 }
 

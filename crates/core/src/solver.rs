@@ -35,8 +35,9 @@ use crate::stats::{MvcResult, PvcResult, SolveStats};
 
 /// Kernel components smaller than this run inline on the calling
 /// thread (single block, same scheduling policy): launching a resident
-/// grid per 20-vertex component (a thread handoff per block plus a
-/// fresh worklist) would cost more than the whole sub-search.
+/// grid per 20-vertex component (a thread handoff per block) would
+/// cost more than the whole sub-search. Every component of a solve
+/// shares one worklist ring either way (see `solve_components`).
 const PREP_INLINE_BELOW: u32 = 64;
 
 /// Which scheduling policy drives the engine — the three code versions
@@ -570,6 +571,7 @@ impl Solver {
                 SearchMode::WeightedMvc { initial: greedy },
                 &deadline,
                 false,
+                None,
                 obs,
             );
             let raw = match outcome {
@@ -607,6 +609,7 @@ impl Solver {
             SearchMode::Mvc { initial: greedy },
             &deadline,
             false,
+            None,
             obs,
         );
         let raw = match outcome {
@@ -663,7 +666,8 @@ impl Solver {
             return self.solve_pvc_prep(g, prep_cfg, k, start, &deadline, obs);
         }
 
-        let (outcome, launch) = self.run_engine(g, SearchMode::Pvc { k }, &deadline, false, obs);
+        let (outcome, launch) =
+            self.run_engine(g, SearchMode::Pvc { k }, &deadline, false, None, obs);
         let raw = match outcome {
             SearchOutcome::Pvc(raw) => raw,
             _ => unreachable!("PVC mode returns a PVC outcome"),
@@ -818,7 +822,9 @@ impl Solver {
     /// the budget coordination that makes the per-component bests sum
     /// into a global bound. Components below [`PREP_INLINE_BELOW`]
     /// vertices run inline (single block, same policy); larger ones get
-    /// a full resident-grid launch.
+    /// a full resident-grid launch. Hybrid and Batched build their
+    /// policy factory once and reset it between components, so the
+    /// whole solve allocates one worklist ring.
     fn solve_components(
         &self,
         kernel: &parvc_prep::Kernel,
@@ -832,6 +838,9 @@ impl Solver {
             greedy_total: kernel.trace.forced.len() as u32,
         };
         let mut sub_covers = Vec::with_capacity(kernel.components.len());
+        let mut ring = (!kernel.components.is_empty())
+            .then(|| self.hybrid_factory())
+            .flatten();
         for (idx, inst) in kernel.components.iter().enumerate() {
             if inst.graph.num_edges() == 0 {
                 sub_covers.push(Vec::new());
@@ -848,7 +857,8 @@ impl Solver {
                 let greedy = self.seed_weighted(&inst.graph, deadline);
                 agg.greedy_total += greedy.1.len() as u32;
                 let mode = SearchMode::WeightedMvc { initial: greedy };
-                (outcome, launch) = self.run_engine(&inst.graph, mode, deadline, inline, obs);
+                (outcome, launch) =
+                    self.run_engine(&inst.graph, mode, deadline, inline, ring.as_mut(), obs);
                 best_cover = match outcome {
                     SearchOutcome::Weighted(raw) => {
                         agg.blocks.extend(raw.blocks);
@@ -860,7 +870,8 @@ impl Solver {
                 let greedy = self.seed_unweighted(&inst.graph, deadline);
                 agg.greedy_total += greedy.0;
                 let mode = SearchMode::Mvc { initial: greedy };
-                (outcome, launch) = self.run_engine(&inst.graph, mode, deadline, inline, obs);
+                (outcome, launch) =
+                    self.run_engine(&inst.graph, mode, deadline, inline, ring.as_mut(), obs);
                 best_cover = match outcome {
                     SearchOutcome::Mvc(raw) => {
                         agg.blocks.extend(raw.blocks);
@@ -878,17 +889,29 @@ impl Solver {
         (sub_covers, agg)
     }
 
+    /// The Hybrid/Batched policy factory, or `None` for the policies
+    /// whose factory is not a worklist ring.
+    fn hybrid_factory(&self) -> Option<HybridFactory> {
+        match self.cfg.algorithm {
+            Algorithm::Hybrid => Some(HybridFactory::new(&self.cfg.hybrid, 1)),
+            Algorithm::Batched => Some(HybridFactory::new(&self.cfg.hybrid, DEFAULT_BATCH)),
+            _ => None,
+        }
+    }
+
     /// The one parameterized dispatch: builds the policy factory for
     /// the configured [`Algorithm`] and hands `mode` to the engine.
     /// `inline` forces single-block execution on the calling thread
     /// (used for small kernel components); Sequential always runs
-    /// inline.
+    /// inline. A caller that owns a [`hybrid_factory`](Self::hybrid_factory)
+    /// passes it as `ring`: it is reset and used instead of a new one.
     fn run_engine(
         &self,
         g: &CsrGraph,
         mode: SearchMode,
         deadline: &Deadline,
         inline: bool,
+        ring: Option<&mut HybridFactory>,
         obs: SolveObs<'_>,
     ) -> (SearchOutcome, Option<LaunchConfig>) {
         let depth_bound = mode.depth_bound(g);
@@ -914,20 +937,32 @@ impl Solver {
                 }
             },
         };
-        let factory: Box<dyn PolicyFactory> = match self.cfg.algorithm {
-            Algorithm::Sequential => Box::new(SequentialFactory::new()),
-            Algorithm::StackOnly { start_depth } => {
-                Box::new(StackOnlyFactory::new(StackOnlyParams { start_depth }))
+        let owned: Box<dyn PolicyFactory>;
+        let factory: &dyn PolicyFactory = match ring {
+            Some(ring) => {
+                ring.reset();
+                ring
             }
-            Algorithm::Hybrid => Box::new(HybridFactory::new(&self.cfg.hybrid, 1)),
-            Algorithm::Batched => Box::new(HybridFactory::new(&self.cfg.hybrid, DEFAULT_BATCH)),
-            Algorithm::WorkStealing | Algorithm::ComponentSteal => {
-                let workers = launch.as_ref().map_or(1, |l| l.grid_blocks);
-                Box::new(CompStealFactory::new(
-                    workers as usize,
-                    depth_bound,
-                    self.cfg.algorithm == Algorithm::ComponentSteal,
-                ))
+            None => {
+                owned = match self.cfg.algorithm {
+                    Algorithm::Sequential => Box::new(SequentialFactory::new()),
+                    Algorithm::StackOnly { start_depth } => {
+                        Box::new(StackOnlyFactory::new(StackOnlyParams { start_depth }))
+                    }
+                    Algorithm::Hybrid | Algorithm::Batched => Box::new(
+                        self.hybrid_factory()
+                            .expect("Hybrid and Batched have a ring factory"),
+                    ),
+                    Algorithm::WorkStealing | Algorithm::ComponentSteal => {
+                        let workers = launch.as_ref().map_or(1, |l| l.grid_blocks);
+                        Box::new(CompStealFactory::new(
+                            workers as usize,
+                            depth_bound,
+                            self.cfg.algorithm == Algorithm::ComponentSteal,
+                        ))
+                    }
+                };
+                owned.as_ref()
             }
         };
         let engine = Engine {
@@ -944,7 +979,7 @@ impl Solver {
                 model_trace: self.cfg.record_trace,
             },
         };
-        let outcome = engine.solve(factory.as_ref(), mode);
+        let outcome = engine.solve(factory, mode);
         (outcome, launch)
     }
 

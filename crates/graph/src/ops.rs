@@ -90,6 +90,105 @@ pub fn induced_subgraph(g: &CsrGraph, keep: &[VertexId]) -> (CsrGraph, Vec<u32>)
     (sub, old_to_new)
 }
 
+/// The connected components of the subgraph induced by `keep` that have
+/// at least one edge, each as a standalone graph relabeled to `0..k`,
+/// with its `new_id -> old_id` map.
+///
+/// `keep` must be ascending and free of repeats. Components come out
+/// ordered by their smallest vertex and each map is ascending: exactly
+/// what [`induced_subgraph`] on `keep`, then [`connected_components`],
+/// then one [`induced_subgraph`] per component would give, without
+/// building the intermediate graph or a `|V|`-sized map per component.
+/// One pass labels the components; one relabel array, shared by all of
+/// them, then maps each vertex to its place in its component. That
+/// relabeling is monotone, so every row is written sorted, straight
+/// into its component's CSR arrays. Vertex weights are carried over.
+///
+/// ```
+/// use parvc_graph::{ops, CsrGraph};
+///
+/// // 0-1-2 and 4-5, with 3 isolated once 6 is dropped.
+/// let g = CsrGraph::from_edges(7, &[(0, 1), (1, 2), (3, 6), (4, 5)]).unwrap();
+/// let comps = ops::induced_components(&g, &[0, 1, 2, 3, 4, 5]);
+/// assert_eq!(comps.len(), 2);
+/// assert_eq!(comps[0].1, vec![0, 1, 2]);
+/// assert_eq!(comps[1].1, vec![4, 5]);
+/// assert!(comps[1].0.has_edge(0, 1));
+/// ```
+pub fn induced_components(g: &CsrGraph, keep: &[VertexId]) -> Vec<(CsrGraph, Vec<VertexId>)> {
+    const OUT: u32 = u32::MAX;
+    const UNSEEN: u32 = u32::MAX - 1;
+    // Sorted rows rest on this: the relabeling is monotone only for
+    // an ascending `keep`.
+    assert!(
+        keep.windows(2).all(|w| w[0] < w[1]),
+        "induced_components needs an ascending keep-list"
+    );
+    // label[v]: OUT outside `keep`; inside, first the component id,
+    // then the vertex's new id within its component.
+    let mut label = vec![OUT; g.num_vertices() as usize];
+    for &v in keep {
+        label[v as usize] = UNSEEN;
+    }
+    let mut sizes: Vec<u32> = Vec::new();
+    let mut stack = Vec::new();
+    for &start in keep {
+        if label[start as usize] != UNSEEN {
+            continue;
+        }
+        let c = sizes.len() as u32;
+        label[start as usize] = c;
+        stack.push(start);
+        let mut size = 0u32;
+        while let Some(v) = stack.pop() {
+            size += 1;
+            for &w in g.neighbors(v) {
+                if label[w as usize] == UNSEEN {
+                    label[w as usize] = c;
+                    stack.push(w);
+                }
+            }
+        }
+        sizes.push(size);
+    }
+    // Members per component, ascending: bucket `keep` in order.
+    let mut old_ids: Vec<Vec<VertexId>> = sizes
+        .iter()
+        .map(|&k| Vec::with_capacity(if k > 1 { k as usize } else { 0 }))
+        .collect();
+    for &v in keep {
+        let c = label[v as usize] as usize;
+        if sizes[c] > 1 {
+            label[v as usize] = old_ids[c].len() as u32;
+            old_ids[c].push(v);
+        } else {
+            label[v as usize] = OUT;
+        }
+    }
+    old_ids
+        .into_iter()
+        .filter(|ids| !ids.is_empty())
+        .map(|ids| {
+            let mut row_ptr = Vec::with_capacity(ids.len() + 1);
+            let mut col_idx = Vec::new();
+            row_ptr.push(0);
+            for &v in &ids {
+                col_idx.extend(
+                    g.neighbors(v)
+                        .iter()
+                        .map(|&w| label[w as usize])
+                        .filter(|&w| w != OUT),
+                );
+                row_ptr.push(col_idx.len());
+            }
+            let sub = carry_weights(CsrGraph::from_parts(row_ptr, col_idx), g, |new| {
+                ids[new as usize]
+            });
+            (sub, ids)
+        })
+        .collect()
+}
+
 /// Connected components; returns `(component_id_per_vertex, count)`.
 pub fn connected_components(g: &CsrGraph) -> (Vec<u32>, u32) {
     let n = g.num_vertices() as usize;

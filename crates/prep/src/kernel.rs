@@ -117,14 +117,15 @@ impl Kernel {
 }
 
 /// Splits the residual (live) part of the graph into relabeled
-/// standalone instances. With `split` off, the whole residual becomes a
-/// single instance; either way, edgeless components are dropped.
+/// standalone instances, in one pass ([`ops::induced_components`]).
+/// With `split` off, the whole residual becomes a single instance;
+/// either way, edgeless components are dropped. `live` is ascending.
 pub fn split_residual(g: &CsrGraph, live: &[VertexId], split: bool) -> Vec<ReducedInstance> {
     if live.is_empty() {
         return Vec::new();
     }
-    let (residual, _) = ops::induced_subgraph(g, live);
     if !split {
+        let (residual, _) = ops::induced_subgraph(g, live);
         if residual.num_edges() == 0 {
             return Vec::new();
         }
@@ -133,20 +134,9 @@ pub fn split_residual(g: &CsrGraph, live: &[VertexId], split: bool) -> Vec<Reduc
             old_ids: live.to_vec(),
         }];
     }
-    let (comp_of, count) = ops::connected_components(&residual);
-    let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); count as usize];
-    for (rid, &c) in comp_of.iter().enumerate() {
-        members[c as usize].push(rid as VertexId);
-    }
-    members
+    ops::induced_components(g, live)
         .into_iter()
-        .filter(|keep| keep.len() > 1)
-        .map(|keep| {
-            let (graph, _) = ops::induced_subgraph(&residual, &keep);
-            let old_ids = keep.iter().map(|&rid| live[rid as usize]).collect();
-            ReducedInstance { graph, old_ids }
-        })
-        .filter(|inst| inst.graph.num_edges() > 0)
+        .map(|(graph, old_ids)| ReducedInstance { graph, old_ids })
         .collect()
 }
 

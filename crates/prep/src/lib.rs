@@ -14,15 +14,15 @@
 //! 1. [`LowDegreeRule`] — exhaustive degree-0/1/2 elimination with the
 //!    §IV-D conflict-resolution semantics of `parvc_core::reduce`;
 //! 2. [`CrownRule`] — crown decomposition via the LP / Nemhauser–
-//!    Trotter relaxation, built on the Hopcroft–Karp / Kőnig machinery
-//!    in [`parvc_graph::matching`];
+//!    Trotter relaxation, by Hopcroft–Karp and the Kőnig construction
+//!    on the implicit double cover of the residual ([`par`]);
 //! 3. [`HighDegreeRule`] — Buss-style elimination against a greedy
 //!    upper bound.
 //!
 //! The stages run round-robin until none of them changes the instance,
-//! then the residual is split into connected components
-//! ([`ReducedInstance`]s, relabeled to `0..n` via
-//! [`parvc_graph::ops::induced_subgraph`]). The resulting [`Kernel`]
+//! then the residual is split into connected components in one pass
+//! ([`ReducedInstance`]s, relabeled to `0..n` by
+//! [`parvc_graph::ops::induced_components`]). The resulting [`Kernel`]
 //! carries a [`LiftTrace`]; [`Kernel::lift`] turns one sub-cover per
 //! component back into a cover of the original graph, optimal whenever
 //! the sub-covers are.
@@ -57,19 +57,20 @@ pub use par::lp_lower_bound_exec;
 pub use rules::{CrownRule, HighDegreeRule, LowDegreeRule, ReduceRule, RuleStats};
 pub use state::{PrepState, VertexState};
 
-use parvc_graph::{matching, CsrGraph, GraphBuilder};
+use parvc_graph::{matching, CsrGraph};
 
 /// The LP / Nemhauser–Trotter lower bound on `g`'s minimum vertex
 /// cover: the optimum of the half-integral LP relaxation, rounded up.
 ///
-/// This is the same machinery [`CrownRule`] uses to kernelize —
-/// a minimum vertex cover of the bipartite *double cover* of `g`
-/// (computed exactly through the Kőnig construction in
-/// [`parvc_graph::matching`]) has twice the LP optimum's size — but
-/// exposed as a standalone bound for callers that need a tighter
-/// lower bound than a maximal matching: the in-search component
-/// branching of `parvc-core` uses it to budget sibling sub-searches
-/// (`SplitBound::Lp`).
+/// This is the same machinery [`CrownRule`] uses to kernelize — a
+/// maximum matching of the bipartite *double cover* of `g`, which by
+/// Kőnig's theorem has twice the LP optimum's size, found by the
+/// implicit-double-cover Hopcroft–Karp in [`par`] — but exposed as a
+/// standalone bound for callers that need a tighter lower bound than a
+/// maximal matching: the in-search component branching of `parvc-core`
+/// uses it to budget sibling sub-searches (`SplitBound::Lp`).
+/// [`lp_lower_bound_exec`] is the same bound with the layer passes on
+/// an executor.
 ///
 /// Dominates the maximal-matching bound on every graph (any matching
 /// is a feasible dual solution of the LP), at the cost of a
@@ -87,18 +88,7 @@ use parvc_graph::{matching, CsrGraph, GraphBuilder};
 /// assert_eq!(lp_lower_bound(&gen::cycle(5)), 3);
 /// ```
 pub fn lp_lower_bound(g: &CsrGraph) -> u64 {
-    if g.num_edges() == 0 {
-        return 0;
-    }
-    let n = g.num_vertices();
-    let mut b = GraphBuilder::with_capacity(2 * n, (g.num_edges() * 2) as usize);
-    for (u, v) in g.edges() {
-        b.add_edge(u, n + v).expect("double-cover ids in range");
-        b.add_edge(v, n + u).expect("double-cover ids in range");
-    }
-    let double_cover = b.build();
-    let cover = matching::konig_cover(&double_cover).expect("double cover is bipartite");
-    (cover.len() as u64).div_ceil(2)
+    lp_lower_bound_exec(g, &parvc_simgpu::exec::SERIAL)
 }
 
 /// The weight-sound lower bound on `g`'s minimum **weight** vertex

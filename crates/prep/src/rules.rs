@@ -8,11 +8,34 @@
 //! eligible vertices are snapshotted, then applied in ascending id with
 //! a liveness/degree recheck, so a vertex invalidated by an earlier
 //! (smaller-id) application is skipped.
+//!
+//! The crown rule runs on the *implicit* double cover: Hopcroft–Karp
+//! and the Kőnig reachability walk the residual CSR directly under the
+//! liveness mask ([`crate::par`]), so no round builds a graph.
+//!
+//! # Safety of the high-degree rule
+//!
+//! Let `ub` be the size of a known cover of the residual (the greedy
+//! one) and `OPT ≤ ub` its optimum. A live vertex `v` of degree
+//! `d(v) > ub` is in every optimal residual cover: a cover without `v`
+//! holds all `d(v) > OPT` of its neighbors. The rule snapshots every
+//! such vertex and forces them all **without a degree recheck**.
+//! Forcing `k` snapshot entries lowers the residual optimum by exactly
+//! `k` (each forced vertex is in some optimal cover, so
+//! `OPT' = OPT − k`) and any snapshot degree by at most `k`, so a later
+//! entry still has `d − k > ub − k ≥ OPT − k = OPT'`: it must still be
+//! forced.
+//!
+//! The rule skips the greedy pass altogether when `Δ² ≤ |E|`, where
+//! `Δ` is the maximum live degree. Every cover of the residual needs
+//! at least `|E| / Δ` vertices (each covers at most `Δ` edges), so then
+//! `d(v) ≤ Δ ≤ |E| / Δ ≤ OPT ≤ ub` for every `v`: no vertex can
+//! exceed the greedy bound, and the skip changes no decision.
 
-use std::collections::BTreeSet;
+use parvc_graph::VertexId;
+use parvc_simgpu::exec::SERIAL;
 
-use parvc_graph::{matching, GraphBuilder, VertexId};
-
+use crate::par;
 use crate::state::PrepState;
 
 /// Per-rule firing statistics, reported in
@@ -119,19 +142,20 @@ impl ReduceRule for LowDegreeRule {
     }
 }
 
-/// Candidate vertices per rule degree. `BTreeSet` keeps each round's
-/// drained snapshot in ascending id order — the §IV-D tie-break.
+/// Candidate vertices per rule degree, in push order and possibly
+/// repeated. Each round sorts and deduplicates its drained snapshot,
+/// so it is processed in ascending id order — the §IV-D tie-break.
 struct Pools {
-    by_degree: [BTreeSet<VertexId>; 3],
+    by_degree: [Vec<VertexId>; 3],
 }
 
 impl Pools {
     fn seed(st: &PrepState<'_>) -> Self {
-        let mut by_degree: [BTreeSet<VertexId>; 3] = Default::default();
+        let mut by_degree: [Vec<VertexId>; 3] = Default::default();
         for v in st.live_ids() {
             let d = st.degree(v);
             if d <= 2 {
-                by_degree[d as usize].insert(v);
+                by_degree[d as usize].push(v);
             }
         }
         Pools { by_degree }
@@ -140,18 +164,24 @@ impl Pools {
     /// Forces `u` into the cover and re-pools its neighbors whose
     /// degree dropped into rule range.
     fn take_into_cover(&mut self, st: &mut PrepState<'_>, u: VertexId) {
-        let touched: Vec<VertexId> = st.live_neighbors(u).collect();
         st.take_into_cover(u);
-        for w in touched {
-            let d = st.degree(w);
-            if d <= 2 {
-                self.by_degree[d as usize].insert(w);
+        for &w in st.graph().neighbors(u) {
+            if st.is_live(w) {
+                let d = st.degree(w);
+                if d <= 2 {
+                    self.by_degree[d as usize].push(w);
+                }
             }
         }
     }
 
-    fn drain(&mut self, degree: usize) -> BTreeSet<VertexId> {
-        std::mem::take(&mut self.by_degree[degree])
+    /// The pool for `degree`, ascending and without repeats, leaving
+    /// it empty.
+    fn drain(&mut self, degree: usize) -> Vec<VertexId> {
+        let mut snapshot = std::mem::take(&mut self.by_degree[degree]);
+        snapshot.sort_unstable();
+        snapshot.dedup();
+        snapshot
     }
 }
 
@@ -229,15 +259,21 @@ fn degree_two_triangle_round(
 
 /// Crown decomposition via the LP / Nemhauser–Trotter relaxation.
 ///
-/// Builds the bipartite *double cover* `B` of the residual instance
-/// (left and right copy per live vertex, each live edge `{u, v}`
-/// becoming `{Lu, Rv}` and `{Lv, Ru}`), takes a minimum vertex cover of
-/// `B` through the Kőnig construction in [`parvc_graph::matching`], and
-/// reads off the optimal half-integral LP solution
-/// `x_v = |{Lv, Rv} ∩ C| / 2`. The NT theorem gives persistence for
-/// any such optimum: every `x_v = 1` vertex is in *some* minimum cover,
-/// every `x_v = 0` vertex is avoidable, and the optimum of the residual
-/// drops by exactly the number of forced vertices.
+/// Takes a minimum vertex cover `C` of the bipartite *double cover* of
+/// the residual instance (left and right copy per live vertex, each
+/// live edge `{u, v}` becoming `{Lu, Rv}` and `{Lv, Ru}`) through the
+/// Kőnig construction, and reads off the optimal half-integral LP
+/// solution `x_v = |{Lv, Rv} ∩ C| / 2`. The NT theorem gives
+/// persistence for any such optimum: every `x_v = 1` vertex is in
+/// *some* minimum cover, every `x_v = 0` vertex is avoidable, and the
+/// optimum of the residual drops by exactly the number of forced
+/// vertices.
+///
+/// The double cover stays implicit ([`crate::par`]): both copies of
+/// `v` are indexed by `v`, and the matching runs on the serial
+/// executor from a greedy warm start. `C` is the same for every
+/// maximum matching (see the module docs of [`crate::par`]), so the
+/// decisions do not depend on which one Hopcroft–Karp finds.
 pub struct CrownRule;
 
 impl ReduceRule for CrownRule {
@@ -249,43 +285,28 @@ impl ReduceRule for CrownRule {
         if st.live_edges() == 0 {
             return false;
         }
-        let live = st.live_ids();
-        let l = live.len() as u32;
-        let mut pos = vec![u32::MAX; st.graph().num_vertices() as usize];
-        for (i, &v) in live.iter().enumerate() {
-            pos[v as usize] = i as u32;
-        }
-        let mut b = GraphBuilder::with_capacity(2 * l, (st.live_edges() * 2) as usize);
-        for &u in &live {
-            let targets: Vec<VertexId> = st.live_neighbors(u).filter(|&v| u < v).collect();
-            for v in targets {
-                b.add_edge(pos[u as usize], l + pos[v as usize])
-                    .expect("double-cover ids in range");
-                b.add_edge(pos[v as usize], l + pos[u as usize])
-                    .expect("double-cover ids in range");
-            }
-        }
-        let double_cover = b.build();
-        let cover = matching::konig_cover(&double_cover).expect("double cover is bipartite");
-        let mut copies = vec![0u8; l as usize];
-        for id in cover {
-            copies[(id % l) as usize] += 1;
-        }
+        let g = st.graph();
+        let copies = {
+            let live = |v: VertexId| st.is_live(v);
+            let m = par::max_matching(g, &live, &SERIAL, par::Matching::greedy(g, &live));
+            par::konig_copies(g, &live, &m)
+        };
         let mut changed = false;
         // x = 1: force first — this is what isolates the x = 0 side.
-        for (i, &n) in copies.iter().enumerate() {
-            if n == 2 {
-                st.take_into_cover(live[i]);
+        // Dead vertices read 1, so neither pass touches them.
+        for v in g.vertices() {
+            if copies[v as usize] == 2 {
+                st.take_into_cover(v);
                 stats.covered += 1;
                 changed = true;
             }
         }
         // x = 0: every remaining neighbor carries x = 1 (LP
         // feasibility), so these are isolated now and safely avoidable.
-        for (i, &n) in copies.iter().enumerate() {
-            if n == 0 && st.is_live(live[i]) {
-                debug_assert_eq!(st.degree(live[i]), 0, "x=0 vertex still has live edges");
-                st.exclude_isolated(live[i]);
+        for v in g.vertices() {
+            if copies[v as usize] == 0 {
+                debug_assert_eq!(st.degree(v), 0, "x=0 vertex still has live edges");
+                st.exclude_isolated(v);
                 stats.excluded += 1;
                 changed = true;
             }
@@ -314,6 +335,18 @@ impl ReduceRule for HighDegreeRule {
         if st.live_edges() == 0 {
             return false;
         }
+        // Δ² ≤ |E|: no degree can exceed the greedy bound (see the
+        // module docs), so skip the greedy pass.
+        let max_degree = st
+            .graph()
+            .vertices()
+            .filter(|&v| st.is_live(v))
+            .map(|v| st.degree(v) as u64)
+            .max()
+            .unwrap_or(0);
+        if max_degree * max_degree <= st.live_edges() {
+            return false;
+        }
         let ub = greedy_cover_upper_bound(st) as i64;
         let snapshot: Vec<VertexId> = st
             .live_ids()
@@ -321,10 +354,10 @@ impl ReduceRule for HighDegreeRule {
             .filter(|&v| st.degree(v) as i64 > ub)
             .collect();
         let mut changed = false;
-        // Forcing earlier snapshot entries lowers both the residual
-        // optimum and the snapshot degrees by at most the number of
-        // applications, so the remaining entries stay safe without a
-        // degree recheck (see the safety note in the module docs).
+        // Forcing earlier snapshot entries lowers the residual optimum
+        // by exactly, and the snapshot degrees by at most, the number
+        // of applications, so the remaining entries stay safe without
+        // a degree recheck (see the safety note in the module docs).
         for v in snapshot {
             if !st.is_live(v) {
                 continue;
@@ -387,7 +420,7 @@ fn greedy_cover_upper_bound(st: &PrepState<'_>) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parvc_graph::gen;
+    use parvc_graph::{gen, matching};
 
     fn run(rule: &mut dyn ReduceRule, st: &mut PrepState<'_>) -> RuleStats {
         let mut stats = RuleStats::new(rule.name());

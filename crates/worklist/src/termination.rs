@@ -80,6 +80,19 @@ impl<T> Worklist<T> {
         }
     }
 
+    /// Readies the worklist for another traversal, keeping its ring:
+    /// drops whatever an aborted traversal left queued and clears the
+    /// tokens, the done flag and the failed-pop count, so the next
+    /// traversal runs exactly as on a fresh worklist of the same
+    /// capacity. Taking `&mut self` proves no block still holds a
+    /// handle.
+    pub fn reset(&mut self) {
+        while self.queue.try_pop().is_some() {}
+        *self.tokens.get_mut() = 0;
+        *self.done.get_mut() = false;
+        *self.failed_pops.get_mut() = 0;
+    }
+
     /// Seeds the worklist before launch. Panics if the queue is full —
     /// seeding happens before any block runs.
     pub fn seed(&self, item: T) {
@@ -326,6 +339,55 @@ mod tests {
         let (outcome, _, waited) = park_then(&wl, |_holder| wl.signal_done());
         assert_eq!(outcome, PopOutcome::Done);
         assert!(waited < LONG / 2, "woke after {waited:?}");
+    }
+
+    /// A worklist reset after an aborted traversal behaves like a fresh
+    /// one: leftover entries are gone and tokens, `done`, the failed-pop
+    /// count and `len_hint` start from zero.
+    #[test]
+    fn reset_after_an_abort_runs_like_a_fresh_worklist() {
+        let mut wl = Worklist::<u32>::with_capacity(4);
+        wl.seed(0);
+        {
+            let mut h = wl.handle();
+            assert_eq!(h.pop(), PopOutcome::Item(0));
+            h.add(1).unwrap();
+            h.add(2).unwrap();
+            // A deadline abort: peers are told to stop, entries stay.
+            wl.signal_done();
+            assert_eq!(h.pop(), PopOutcome::Done);
+        }
+        assert_eq!(wl.len_hint(), 2);
+        assert!(wl.is_done());
+
+        wl.reset();
+        assert_eq!(wl.len_hint(), 0);
+        assert!(!wl.is_done());
+        assert_eq!(wl.total_failed_pops(), 0);
+        assert_eq!(wl.capacity(), 4);
+
+        // Second traversal, step for step against a fresh worklist.
+        let fresh = Worklist::<u32>::with_capacity(4);
+        for w in [&wl, &fresh] {
+            w.seed(10);
+            let mut h = w.handle();
+            assert_eq!(h.pop(), PopOutcome::Item(10));
+            assert_eq!(h.len_hint(), 0);
+            for item in 11..15 {
+                h.add(item).unwrap();
+            }
+            assert_eq!(h.add(15), Err(15), "capacity 4 holds four entries");
+            assert_eq!(h.len_hint(), 4);
+            for item in 11..15 {
+                assert_eq!(h.pop(), PopOutcome::Item(item));
+            }
+            // The last token goes with this pop: quiescence, not a
+            // leftover token from the aborted run.
+            assert_eq!(h.pop(), PopOutcome::Done);
+            assert!(w.is_done());
+            assert_eq!(w.len_hint(), 0);
+        }
+        assert_eq!(wl.total_failed_pops(), fresh.total_failed_pops());
     }
 
     /// A miniature tree traversal: every worker pops a "node" carrying a

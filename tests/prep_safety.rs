@@ -3,12 +3,25 @@
 //! whose size equals the brute-force optimum — i.e. every pipeline
 //! stage is optimum-preserving, alone and in combination, across the
 //! gnp/ba/grid/components generator corpus.
+//!
+//! Reference suites pin prep's fast paths to the constructions they
+//! replaced: the crown rule and the LP bounds (Hopcroft–Karp on the
+//! implicit double cover) against an explicitly built double cover
+//! plus [`matching::konig_cover`], and the one-pass component split
+//! against `induced_subgraph` + `connected_components` + one
+//! `induced_subgraph` per component.
 
 use parvc::core::brute::brute_force_mvc;
 use parvc::core::{is_vertex_cover, Algorithm, Solver};
-use parvc::graph::{gen, CsrGraph};
-use parvc::prep::{preprocess, PrepConfig};
+use parvc::graph::{gen, matching, ops, CsrGraph, GraphBuilder};
+use parvc::prep::{
+    lp_lower_bound, lp_lower_bound_exec, preprocess, CrownRule, PrepConfig, PrepState, ReduceRule,
+    RuleStats,
+};
+use parvc::simgpu::exec::{ExecutorSpec, SERIAL};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// All 16 stage subsets: low-degree × crown × high-degree × split.
 fn rule_subsets() -> Vec<PrepConfig> {
@@ -181,4 +194,172 @@ fn component_instance_prep_agrees_with_reference() {
         .build()
         .solve_mvc(&small);
     assert_eq!(plain.size, kerned.size);
+}
+
+/// A random instance for the reference suites: sparse and dense
+/// families, bipartite ones, and graphs with isolated vertices.
+fn reference_graph(family: u8, seed: u64) -> CsrGraph {
+    let n = 8 + (seed % 53) as u32;
+    match family % 6 {
+        0 => gen::gnp(n, 0.08 + (seed % 5) as f64 * 0.06, seed),
+        1 => gen::barabasi_albert(n, 1 + (seed % 3) as u32, seed),
+        2 => gen::power_grid_like(n, n / 4, seed),
+        3 => gen::sparse_components(n, 1 + n / 9, 0.4, seed),
+        4 => gen::bipartite_gnp(n / 2, n - n / 2, 0.15, seed),
+        _ => ops::disjoint_union(&gen::cycle(3 + (seed % 6) as u32), &gen::gnp(n, 0.05, seed)),
+    }
+}
+
+/// A random ascending subset of `g`'s vertices (about `keep` of them).
+fn random_live(g: &CsrGraph, keep: f64, seed: u64) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    g.vertices().filter(|_| rng.gen_bool(keep)).collect()
+}
+
+/// The double cover of `g[live]` built as a graph — the construction
+/// prep used before its Hopcroft–Karp ran on the residual CSR: left
+/// copy of `live[i]` at `i`, right copy at `|live| + i`.
+fn explicit_double_cover(g: &CsrGraph, live: &[u32]) -> CsrGraph {
+    let l = live.len() as u32;
+    let mut pos = vec![u32::MAX; g.num_vertices() as usize];
+    for (i, &v) in live.iter().enumerate() {
+        pos[v as usize] = i as u32;
+    }
+    let mut b = GraphBuilder::new(2 * l);
+    for &u in live {
+        for &v in g.neighbors(u) {
+            if u < v && pos[v as usize] != u32::MAX {
+                b.add_edge(pos[u as usize], l + pos[v as usize]).unwrap();
+                b.add_edge(pos[v as usize], l + pos[u as usize]).unwrap();
+            }
+        }
+    }
+    b.build()
+}
+
+/// Crown decisions by the oracle: `(forced, excluded)`, ascending.
+fn oracle_crown(g: &CsrGraph, live: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let l = live.len();
+    let dc = explicit_double_cover(g, live);
+    if dc.num_edges() == 0 {
+        return (Vec::new(), Vec::new());
+    }
+    let mut copies = vec![0u8; l];
+    for id in matching::konig_cover(&dc).expect("double cover is bipartite") {
+        copies[id as usize % l] += 1;
+    }
+    let pick = |k: u8| {
+        (0..l)
+            .filter(|&i| copies[i] == k)
+            .map(|i| live[i])
+            .collect()
+    };
+    (pick(2), pick(0))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One crown pass on a random residual (random vertices already
+    /// taken into the cover) forces and excludes exactly what the
+    /// explicit double cover's Kőnig cover says.
+    #[test]
+    fn crown_on_the_implicit_double_cover_matches_the_explicit_one(
+        family in 0u8..6,
+        seed in 0u64..100_000,
+        keep in 0u32..4,
+    ) {
+        let g = reference_graph(family, seed);
+        let mut st = PrepState::new(&g);
+        let keep = [1.0, 0.9, 0.7, 0.5][keep as usize];
+        let live = random_live(&g, keep, seed ^ 0x5eed);
+        let mut is_live = vec![false; g.num_vertices() as usize];
+        for &v in &live {
+            is_live[v as usize] = true;
+        }
+        for v in g.vertices().filter(|&v| !is_live[v as usize]) {
+            st.take_into_cover(v);
+        }
+        let (forced, excluded) = oracle_crown(&g, &live);
+        let before = st.forced().len();
+        let mut stats = RuleStats::new(CrownRule.name());
+        let changed = CrownRule.apply(&mut st, &mut stats);
+        prop_assert_eq!(&st.forced()[before..], &forced[..], "family {} seed {}", family, seed);
+        prop_assert_eq!(st.excluded(), &excluded[..], "family {} seed {}", family, seed);
+        prop_assert_eq!(changed, !forced.is_empty() || !excluded.is_empty());
+        prop_assert!(st.check_consistency().is_ok());
+    }
+
+    /// The LP bound equals the explicit double cover's Kőnig cover
+    /// size, halved and rounded up.
+    #[test]
+    fn lp_bound_matches_the_explicit_double_cover(family in 0u8..6, seed in 0u64..100_000) {
+        let g = reference_graph(family, seed);
+        let all: Vec<u32> = g.vertices().collect();
+        let dc = explicit_double_cover(&g, &all);
+        let want = (matching::konig_cover(&dc).unwrap().len() as u64).div_ceil(2);
+        prop_assert_eq!(lp_lower_bound(&g), want, "family {} seed {}", family, seed);
+        prop_assert_eq!(lp_lower_bound_exec(&g, &SERIAL), want);
+    }
+
+    /// The one-pass split equals the three-step construction it
+    /// replaced — component order, `old_ids`, rows and weights — on
+    /// weighted and unweighted graphs under random live sets.
+    #[test]
+    fn one_pass_split_matches_induced_subgraph_per_component(
+        family in 0u8..6,
+        seed in 0u64..100_000,
+        keep in 0u32..4,
+        weighted in 0u8..2,
+    ) {
+        let mut g = reference_graph(family, seed);
+        if weighted == 1 {
+            g = gen::with_uniform_weights(g, 9, seed);
+        }
+        let live = random_live(&g, [1.0, 0.9, 0.6, 0.3][keep as usize], seed ^ 0x11);
+        let (residual, _) = ops::induced_subgraph(&g, &live);
+        let (comp_of, count) = ops::connected_components(&residual);
+        let mut members = vec![Vec::new(); count as usize];
+        for (rid, &c) in comp_of.iter().enumerate() {
+            members[c as usize].push(rid as u32);
+        }
+        let want: Vec<(CsrGraph, Vec<u32>)> = members
+            .into_iter()
+            .filter(|m| m.len() > 1)
+            .map(|m| {
+                let (sub, _) = ops::induced_subgraph(&residual, &m);
+                (sub, m.iter().map(|&rid| live[rid as usize]).collect())
+            })
+            .collect();
+        let got = ops::induced_components(&g, &live);
+        prop_assert_eq!(got.len(), want.len(), "family {} seed {}", family, seed);
+        for ((gs, gi), (ws, wi)) in got.iter().zip(&want) {
+            prop_assert_eq!(gi, wi);
+            prop_assert!(gs == ws, "family {} seed {}: component graphs differ", family, seed);
+            prop_assert_eq!(gs.content_hash(), ws.content_hash());
+        }
+    }
+}
+
+/// On graphs of 4,096 vertices and more the pooled executor splits the
+/// frontier gathers into chunks — and on the stars, whose thousands of
+/// leaves stay free after the greedy warm start, the layer passes too
+/// — yet the bound equals the serial one.
+#[test]
+fn pooled_lp_bound_matches_serial_at_dispatch_scale() {
+    let pooled = ExecutorSpec::Pooled { threads: Some(3) }.build();
+    let graphs = [
+        gen::star(6_000),
+        ops::disjoint_union(&gen::star(5_000), &gen::gnp(2_000, 0.002, 3)),
+        gen::power_grid_like(6_000, 900, 5),
+        gen::sparse_components(8_000, 400, 0.3, 7),
+        gen::barabasi_albert(5_000, 2, 9),
+        gen::path(4_500),
+    ];
+    for (i, g) in graphs.iter().enumerate() {
+        assert!(g.num_vertices() >= 4_096);
+        let serial = lp_lower_bound(g);
+        assert_eq!(lp_lower_bound_exec(g, &*pooled), serial, "graph {i}");
+        assert_eq!(lp_lower_bound_exec(g, &SERIAL), serial, "graph {i}");
+    }
 }
