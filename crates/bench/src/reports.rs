@@ -922,9 +922,9 @@ fn representative_subset(args: &BenchArgs) -> Vec<Instance> {
         .collect()
 }
 
-/// **Extensions ablation** — the paper-faithful rule set vs the two
-/// optional strengthenings (domination rule, matching lower bound):
-/// how much smaller does the search tree get, and at what overhead?
+/// **Extensions ablation** — the paper-faithful rule set vs the
+/// optional matching lower bound: how much smaller does the search
+/// tree get, and at what overhead?
 pub fn extensions_ablation(args: &BenchArgs) {
     println!("\n=== Ablation: optional extensions beyond the paper's rules ===");
     let reps = representative_subset(args);
@@ -940,20 +940,12 @@ pub fn extensions_ablation(args: &BenchArgs) {
         for (label, ext) in [
             ("none (paper-faithful)", Extensions::NONE),
             (
-                "+domination",
-                Extensions {
-                    domination_rule: true,
-                    ..Extensions::NONE
-                },
-            ),
-            (
                 "+matching LB",
                 Extensions {
                     matching_lower_bound: true,
                     ..Extensions::NONE
                 },
             ),
-            ("+both", Extensions::ALL),
         ] {
             let solver = solver_with(Impl::Hybrid, args, |b| b.extensions(ext));
             let r = solver.solve_mvc(&inst.graph);

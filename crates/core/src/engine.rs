@@ -109,6 +109,19 @@ pub enum SearchOutcome {
     Pvc(RawParallelPvc),
 }
 
+impl SearchOutcome {
+    /// The cover and the per-block counters. The cover is always
+    /// `Some` for the MVC modes; a PVC run yields `None` when it found
+    /// no cover of at most `k` vertices.
+    pub fn into_parts(self) -> (Option<Vec<VertexId>>, Vec<BlockCounters>) {
+        match self {
+            SearchOutcome::Mvc(raw) => (Some(raw.best_cover), raw.blocks),
+            SearchOutcome::Weighted(raw) => (Some(raw.best_cover), raw.blocks),
+            SearchOutcome::Pvc(raw) => (raw.cover, raw.blocks),
+        }
+    }
+}
+
 /// Why a block's traversal loop ended — policies translate this into
 /// their termination protocol (signal peers, charge the Figure 6
 /// `Terminate` activity).

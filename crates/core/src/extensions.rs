@@ -1,28 +1,19 @@
 //! Optional solver extensions beyond the paper's three rules.
 //!
 //! The paper's related work (Akiba & Iwata \[38\], the PACE solvers \[37\])
-//! builds on richer reduction/pruning portfolios; two of the classic
-//! ones are compatible with the degree-array representation (they only
-//! ever *remove* vertices, never merge them, unlike e.g. degree-two
-//! folding) and are implemented here behind [`Extensions`] flags:
+//! builds on richer reduction/pruning portfolios. One classic piece
+//! that fits the degree-array representation (it never merges
+//! vertices) is implemented here behind an [`Extensions`] flag:
 //!
-//! * **Domination rule** — if a live vertex `u` has a live neighbor `v`
-//!   with `N[v] ⊆ N[u]` (closed neighborhoods in the intermediate
-//!   graph), some minimum cover contains `u`: any cover avoiding `u`
-//!   must contain all of `N(u) ∋ v`, and swapping `v` for `u` keeps it
-//!   a cover. The degree-one and degree-two-triangle rules are special
-//!   cases. Off by default (it is `O(Σ min(d(u), d(v)))` per round).
 //! * **Matching lower bound** — a maximal matching of the intermediate
 //!   graph needs one cover vertex per edge, so
 //!   `|S| + |M| ≥` any completion; prune when that already meets the
 //!   bound. Strictly stronger than the paper's edge-count test on
 //!   sparse residuals.
 //!
-//! Neither extension is charged to the Figure 6 activity accounting —
-//! they are deliberately outside the paper's instrumentation so the
+//! The bound is not charged to the Figure 6 activity accounting — it
+//! is deliberately outside the paper's instrumentation so the
 //! reproduced breakdown stays comparable.
-
-use parvc_simgpu::counters::BlockCounters;
 
 use crate::bound::SearchBound;
 use crate::ops::Kernel;
@@ -34,15 +25,13 @@ use crate::TreeNode;
 /// paper-faithful configuration).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Extensions {
-    /// Apply the domination rule in every `reduce` fixpoint.
-    pub domination_rule: bool,
     /// Prune with a greedy maximal-matching lower bound.
     pub matching_lower_bound: bool,
     /// Re-split the search at tree nodes whose residual graph has
     /// disconnected (see [`crate::split`]). `None` = off.
     ///
-    /// Not part of [`Extensions::ALL`]: the reduction extensions
-    /// strengthen every node the same way, while component branching
+    /// Not part of [`Extensions::ALL`]: the matching bound
+    /// strengthens every node the same way, while component branching
     /// changes the search-tree *shape* and is toggled separately (via
     /// [`SolverBuilder::component_branching`](crate::SolverBuilder::component_branching)
     /// or the `ComponentSteal` policy).
@@ -58,17 +47,15 @@ pub struct Extensions {
 impl Extensions {
     /// The paper-faithful configuration (no extensions).
     pub const NONE: Extensions = Extensions {
-        domination_rule: false,
         matching_lower_bound: false,
         component_branching: None,
         seed_strategy: crate::approx::SeedStrategy::Greedy,
     };
 
-    /// Both reduction/pruning extensions on (component branching stays
-    /// a separate toggle — see
+    /// The pruning extension on: the matching lower bound (component
+    /// branching stays a separate toggle — see
     /// [`Extensions::component_branching`]).
     pub const ALL: Extensions = Extensions {
-        domination_rule: true,
         matching_lower_bound: true,
         component_branching: None,
         seed_strategy: crate::approx::SeedStrategy::Greedy,
@@ -156,64 +143,11 @@ impl<'a> Kernel<'a> {
         }
         weight
     }
-
-    /// One round of the domination rule: scan live vertices in id order
-    /// and cover every `u` that dominates one of its neighbors.
-    /// Returns whether anything changed.
-    ///
-    /// With `weighted` set, an application additionally requires
-    /// `w(u) ≤ w(v)` for the dominated neighbor `v` — the swap that
-    /// justifies the rule must not increase the cover weight.
-    pub(crate) fn domination_round(
-        &self,
-        node: &mut TreeNode,
-        weighted: bool,
-        scratch: &mut BlockScratch,
-        counters: &mut BlockCounters,
-    ) -> bool {
-        let mut changed = false;
-        let mark = scratch.mark_for(node.len() as usize);
-        for u in 0..node.len() {
-            // Re-check liveness: earlier removals this round may have
-            // touched u. Degree-0/1 vertices are handled by the cheaper
-            // base rules.
-            if node.degree(u) < 2 {
-                continue;
-            }
-            // Mark N[u].
-            mark[u as usize] = true;
-            for v in node.live_neighbors(self.graph, u) {
-                mark[v as usize] = true;
-            }
-            // Does u dominate any live neighbor v (N[v] ⊆ N[u])?
-            let dominates = node
-                .live_neighbors(self.graph, u)
-                .filter(|&v| node.degree(v) <= node.degree(u))
-                .filter(|&v| !weighted || self.graph.weight(u) <= self.graph.weight(v))
-                .any(|v| node.live_neighbors(self.graph, v).all(|w| mark[w as usize]));
-            // Unmark before mutating.
-            mark[u as usize] = false;
-            for v in node.live_neighbors(self.graph, u) {
-                mark[v as usize] = false;
-            }
-            if dominates {
-                self.remove_vertex(
-                    node,
-                    u,
-                    parvc_simgpu::counters::Activity::HighDegreeRule,
-                    counters,
-                );
-                changed = true;
-            }
-        }
-        changed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::brute_force_mvc;
     use parvc_graph::{gen, CsrGraph};
     use parvc_simgpu::CostModel;
 
@@ -281,46 +215,5 @@ mod tests {
             k.prune(&node, bound, &mut BlockScratch::new()),
             "matching bound must fire"
         );
-    }
-
-    #[test]
-    fn domination_covers_the_dominator() {
-        // K4 minus an edge: 0-1, 0-2, 0-3, 1-2, 1-3 (no 2-3 edge).
-        // N[2] = {0,1,2} ⊆ N[0] = {0,1,2,3}: 0 dominates 2 → 0 covered.
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]).unwrap();
-        let cost = CostModel::default();
-        let k = kernel(&g, &cost, Extensions::ALL);
-        let mut node = TreeNode::root(&g);
-        let mut c = BlockCounters::new(0);
-        assert!(k.domination_round(&mut node, false, &mut BlockScratch::new(), &mut c));
-        assert!(node.is_removed(0));
-        node.check_consistency(&g).unwrap();
-    }
-
-    #[test]
-    fn extensions_preserve_optimum() {
-        let cost = CostModel::default();
-        for seed in 0..10 {
-            let g = gen::gnp(12, 0.35, seed + 900);
-            let (opt, _) = brute_force_mvc(&g);
-            let k = kernel(&g, &cost, Extensions::ALL);
-            let mut node = TreeNode::root(&g);
-            let mut c = BlockCounters::new(0);
-            // Domination applied to a fixpoint must keep the optimum:
-            // opt = |S| + opt(residual).
-            let mut scratch = BlockScratch::new();
-            while k.domination_round(&mut node, false, &mut scratch, &mut c) {}
-            node.check_consistency(&g).unwrap();
-            let residual: Vec<(u32, u32)> = g
-                .edges()
-                .filter(|&(u, v)| !node.is_removed(u) && !node.is_removed(v))
-                .collect();
-            let rg = CsrGraph::from_edges(12, &residual).unwrap();
-            assert_eq!(
-                node.cover_size() + brute_force_mvc(&rg).0,
-                opt,
-                "seed {seed}: domination changed the optimum"
-            );
-        }
     }
 }

@@ -82,9 +82,9 @@ impl HybridFactory {
 
     /// Readies the factory for another launch on the same worklist
     /// ring ([`Worklist::reset`]). The launch then runs exactly as on a
-    /// fresh factory: `solve_components` reuses one factory across
-    /// all of a solve's kernel components instead of allocating a ring
-    /// per component.
+    /// fresh factory: the solver reuses one factory across all of a
+    /// solve's engine searches instead of allocating a ring per kernel
+    /// component.
     pub fn reset(&mut self) {
         self.worklist.reset();
     }

@@ -66,11 +66,6 @@ impl<'a> Kernel<'a> {
             while self.high_degree_round(node, bound, scratch, counters, &mut stats) {
                 changed = true;
             }
-            if self.ext.domination_rule {
-                while self.domination_round(node, bound.is_weighted(), scratch, counters) {
-                    changed = true;
-                }
-            }
             if !changed {
                 return stats;
             }

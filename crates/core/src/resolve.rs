@@ -78,7 +78,7 @@ use parvc_graph::{CsrGraph, EditError, EditScript, VertexId};
 use parvc_obs::SpanTimer;
 
 use crate::solver::{SolveObs, Solver};
-use crate::stats::MvcResult;
+use crate::stats::{MvcResult, SolveStats};
 
 /// What one [`ResolveSession::resolve`] call reused, invalidated, and
 /// re-computed.
@@ -228,7 +228,7 @@ impl<'s> ResolveSession<'s> {
         t_patch.finish(obs.sink, "resolve", "patch", 0, edits.len() as u64);
 
         let mut resolved = if self.exact {
-            self.resolve_incremental(&edited, edits, start, obs)
+            self.resolve_incremental(&edited, edits, obs)
         } else {
             // A timed-out previous solve caches nothing trustworthy:
             // re-solve the whole edited instance from scratch.
@@ -272,7 +272,6 @@ impl<'s> ResolveSession<'s> {
         &mut self,
         edited: &CsrGraph,
         edits: &EditScript,
-        start: Instant,
         obs: SolveObs<'_>,
     ) -> Resolved {
         let n_before = self.graph.num_vertices();
@@ -311,9 +310,9 @@ impl<'s> ResolveSession<'s> {
                 size: self.cover.len() as u32,
                 weight: edited.cover_weight(&self.cover),
                 cover: self.cover.clone(),
-                stats: self.solver.trivial_stats(start, 0),
+                stats: SolveStats::empty(),
             };
-            self.relabel(edited, &[], &[], 0);
+            self.relabel(edited, &[], 0);
             return Resolved {
                 graph: edited.clone(),
                 result,
@@ -353,7 +352,7 @@ impl<'s> ResolveSession<'s> {
                 size: warm.len() as u32,
                 weight: sub.cover_weight(&warm),
                 cover: warm,
-                stats: self.solver.trivial_stats(start, 0),
+                stats: SolveStats::empty(),
             }
         } else {
             stats.components_resolved = stats.components_invalidated;
@@ -382,15 +381,13 @@ impl<'s> ResolveSession<'s> {
         cover.extend(sub_result.cover.iter().map(|&v| keep[v as usize]));
         cover.sort_unstable();
 
-        self.relabel(edited, &keep, &old_to_new, dirty.len() as u32);
+        self.relabel(edited, &keep, dirty.len() as u32);
 
-        let mut solve_stats = sub_result.stats;
-        solve_stats.wall_time = start.elapsed();
         let result = MvcResult {
             size: cover.len() as u32,
             weight: edited.cover_weight(&cover),
             cover,
-            stats: solve_stats,
+            stats: sub_result.stats,
         };
         Resolved {
             graph: edited.clone(),
@@ -450,7 +447,7 @@ impl<'s> ResolveSession<'s> {
     /// only the dirty sub-instance's vertices with fresh label ids;
     /// baseline mode recomputes all labels (one more full union-find
     /// build).
-    fn relabel(&mut self, edited: &CsrGraph, keep: &[VertexId], _old_to_new: &[u32], dirtied: u32) {
+    fn relabel(&mut self, edited: &CsrGraph, keep: &[VertexId], dirtied: u32) {
         if !self.reuse_labels {
             let (label, count) = connected_components(edited);
             self.label = label;

@@ -27,8 +27,6 @@ pub struct BlockScratch {
     pub slots: ChunkSlots,
     /// Bound-phase endpoint flags for the residual matching bound.
     pub matched: Vec<bool>,
-    /// Domination-rule neighborhood marks.
-    pub mark: Vec<bool>,
 }
 
 impl BlockScratch {
@@ -44,13 +42,5 @@ impl BlockScratch {
         self.matched.clear();
         self.matched.resize(n, false);
         &mut self.matched
-    }
-
-    /// `mark`, cleared and sized to `n` without reallocation after the
-    /// first call at a given size.
-    pub fn mark_for(&mut self, n: usize) -> &mut Vec<bool> {
-        self.mark.clear();
-        self.mark.resize(n, false);
-        &mut self.mark
     }
 }

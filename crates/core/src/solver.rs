@@ -37,7 +37,7 @@ use crate::stats::{MvcResult, PvcResult, SolveStats};
 /// thread (single block, same scheduling policy): launching a resident
 /// grid per 20-vertex component (a thread handoff per block) would
 /// cost more than the whole sub-search. Every component of a solve
-/// shares one worklist ring either way (see `solve_components`).
+/// shares one worklist ring either way (see `run_engine`).
 const PREP_INLINE_BELOW: u32 = 64;
 
 /// Which scheduling policy drives the engine — the three code versions
@@ -379,12 +379,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Enables the domination reduction rule.
-    pub fn domination_rule(mut self, on: bool) -> Self {
-        self.ext.domination_rule = on;
-        self
-    }
-
     /// Enables maximal-matching lower-bound pruning.
     pub fn matching_lower_bound(mut self, on: bool) -> Self {
         self.ext.matching_lower_bound = on;
@@ -542,96 +536,13 @@ impl Solver {
         warm: Option<&[u32]>,
         obs: SolveObs<'_>,
     ) -> MvcResult {
-        let start = Instant::now();
-        if g.num_edges() == 0 {
-            return MvcResult {
-                size: 0,
-                weight: 0,
-                cover: Vec::new(),
-                stats: self.trivial_stats(start, 0),
-            };
-        }
-        let deadline = Deadline::new(self.cfg.deadline);
-
-        if let Some(prep_cfg) = &self.cfg.prep {
-            return self.solve_mvc_prep(g, prep_cfg, start, &deadline, obs);
-        }
-
-        if self.cfg.weighted {
-            let mut greedy = self.seed_weighted(g, &deadline);
-            let greedy_size = greedy.1.len() as u32;
-            if let Some(seed) = warm {
-                let seed_weight = g.cover_weight(seed);
-                if seed_weight < greedy.0 {
-                    greedy = (seed_weight, seed.to_vec());
-                }
-            }
-            let (outcome, launch) = self.run_engine(
-                g,
-                SearchMode::WeightedMvc { initial: greedy },
-                &deadline,
-                false,
-                None,
-                obs,
-            );
-            let raw = match outcome {
-                SearchOutcome::Weighted(raw) => raw,
-                _ => unreachable!("weighted mode returns a weighted outcome"),
-            };
-            let report = self.launch_report(launch.is_some(), raw.blocks);
-            return MvcResult {
-                size: raw.best_cover.len() as u32,
-                weight: raw.best_weight,
-                cover: raw.best_cover,
-                stats: SolveStats {
-                    wall_time: start.elapsed(),
-                    tree_nodes: report.total_tree_nodes,
-                    device_cycles: report.device_cycles,
-                    launch,
-                    report,
-                    greedy_size,
-                    timed_out: deadline.was_hit(),
-                    prep: None,
-                    telemetry: None,
-                },
-            };
-        }
-
-        let mut greedy = self.seed_unweighted(g, &deadline);
-        let greedy_size = greedy.0;
-        if let Some(seed) = warm {
-            if (seed.len() as u32) < greedy.0 {
-                greedy = (seed.len() as u32, seed.to_vec());
-            }
-        }
-        let (outcome, launch) = self.run_engine(
-            g,
-            SearchMode::Mvc { initial: greedy },
-            &deadline,
-            false,
-            None,
-            obs,
-        );
-        let raw = match outcome {
-            SearchOutcome::Mvc(raw) => raw,
-            _ => unreachable!("MVC mode returns an MVC outcome"),
-        };
-        let report = self.launch_report(launch.is_some(), raw.blocks);
+        let (cover, stats) = self.solve_goal(g, Goal::Mvc, warm, obs);
+        let cover = cover.expect("an MVC goal always ends with a cover");
         MvcResult {
-            size: raw.best_size,
-            weight: g.cover_weight(&raw.best_cover),
-            cover: raw.best_cover,
-            stats: SolveStats {
-                wall_time: start.elapsed(),
-                tree_nodes: report.total_tree_nodes,
-                device_cycles: report.device_cycles,
-                launch,
-                report,
-                greedy_size,
-                timed_out: deadline.was_hit(),
-                prep: None,
-                telemetry: None,
-            },
+            size: cover.len() as u32,
+            weight: g.cover_weight(&cover),
+            cover,
+            stats,
         }
     }
 
@@ -645,132 +556,128 @@ impl Solver {
     pub fn solve_pvc(&self, g: &CsrGraph, k: u32) -> PvcResult {
         let (sink, heartbeat) = self.solve_observers();
         let obs = SolveObs::new(sink.as_ref(), heartbeat.as_ref());
-        let mut r = self.solve_pvc_with(g, k, obs);
-        self.finish_telemetry(sink, &mut r.stats);
-        r
+        let (cover, mut stats) = self.solve_goal(g, Goal::Pvc { k }, None, obs);
+        self.finish_telemetry(sink, &mut stats);
+        PvcResult { k, cover, stats }
     }
 
-    fn solve_pvc_with(&self, g: &CsrGraph, k: u32, obs: SolveObs<'_>) -> PvcResult {
+    /// The one solve driver. With prep on, `g` is kernelized and each
+    /// kernel component gets its own engine search; with prep off, `g`
+    /// itself is the only component. Every search runs under the
+    /// solve's one deadline (and, under Hybrid and Batched, on its one
+    /// worklist ring), and the sub-covers are lifted back to `g`.
+    ///
+    /// * Only an MVC goal on a weighted solver minimizes weight, and
+    ///   it forces [`PrepConfig::weighted`]: PVC counts vertices.
+    /// * The `warm` incumbent seeds only a prep-off search, because
+    ///   prep relabels the instance.
+    /// * Kernel components below [`PREP_INLINE_BELOW`] vertices run
+    ///   inline; `g` itself always gets its grid launch.
+    /// * PVC: more than `k` forced vertices is a conclusive *no*. One
+    ///   component (`g` itself, or a one-component kernel) runs the PVC
+    ///   search on the budget the forced vertices leave, stopping at
+    ///   the first cover that fits. Several components are each solved
+    ///   as MVC, and the lifted cover is checked against `k`.
+    ///
+    /// The cover is `None` when a PVC goal has no cover of at most
+    /// `k` vertices.
+    fn solve_goal(
+        &self,
+        g: &CsrGraph,
+        goal: Goal,
+        warm: Option<&[u32]>,
+        obs: SolveObs<'_>,
+    ) -> (Option<Vec<u32>>, SolveStats) {
         let start = Instant::now();
-
-        if g.num_edges() == 0 {
-            return PvcResult {
-                k,
-                cover: Some(Vec::new()),
-                stats: self.trivial_stats(start, 0),
-            };
-        }
         let deadline = Deadline::new(self.cfg.deadline);
-
-        if let Some(prep_cfg) = &self.cfg.prep {
-            return self.solve_pvc_prep(g, prep_cfg, k, start, &deadline, obs);
+        if g.num_edges() == 0 {
+            let agg = ComponentAggregate::default();
+            return (Some(Vec::new()), self.stats(start, agg, &deadline, None));
         }
-
-        let (outcome, launch) =
-            self.run_engine(g, SearchMode::Pvc { k }, &deadline, false, None, obs);
-        let raw = match outcome {
-            SearchOutcome::Pvc(raw) => raw,
-            _ => unreachable!("PVC mode returns a PVC outcome"),
+        let weighted = self.cfg.weighted && goal == Goal::Mvc;
+        let kernel = self.cfg.prep.as_ref().map(|cfg| {
+            let mut cfg = cfg.clone();
+            cfg.weighted |= weighted;
+            parvc_prep::preprocess_traced(g, &cfg, obs.sink)
+        });
+        let forced = kernel.as_ref().map_or(0, |k| k.trace.forced.len() as u32);
+        let mut agg = ComponentAggregate {
+            greedy_size: forced,
+            ..ComponentAggregate::default()
         };
-        let report = self.launch_report(launch.is_some(), raw.blocks);
-        PvcResult {
-            k,
-            cover: raw.cover,
-            stats: SolveStats {
-                wall_time: start.elapsed(),
-                tree_nodes: report.total_tree_nodes,
-                device_cycles: report.device_cycles,
-                launch,
-                report,
-                greedy_size: 0,
-                timed_out: deadline.was_hit(),
-                prep: None,
-                telemetry: None,
-            },
+        if let Goal::Pvc { k } = goal {
+            if forced > k {
+                let prep = kernel.map(|k| k.stats);
+                return (None, self.stats(start, agg, &deadline, prep));
+            }
         }
-    }
+        let (components, warm): (Vec<&CsrGraph>, _) = match &kernel {
+            Some(kernel) => (kernel.components.iter().map(|c| &c.graph).collect(), None),
+            None => (vec![g], warm),
+        };
+        let one_component = components.len() == 1;
 
-    /// MVC through the kernelization pipeline: preprocess once, solve
-    /// each kernel component as an independent engine sub-search under
-    /// the shared deadline, and lift the sub-covers back to the
-    /// original graph. In weighted mode the pipeline runs with
-    /// [`PrepConfig::weighted`] forced on, so only weight-sound rules
-    /// fire, and each component sub-search minimizes weight.
-    fn solve_mvc_prep(
-        &self,
-        g: &CsrGraph,
-        prep_cfg: &PrepConfig,
-        start: Instant,
-        deadline: &Deadline,
-        obs: SolveObs<'_>,
-    ) -> MvcResult {
-        let mut prep_cfg = prep_cfg.clone();
-        prep_cfg.weighted |= self.cfg.weighted;
-        let kernel = parvc_prep::preprocess_traced(g, &prep_cfg, obs.sink);
-        let (sub_covers, agg) = self.solve_components(&kernel, deadline, self.cfg.weighted, obs);
-        let cover = kernel.lift(&sub_covers);
-        let report = self.launch_report(agg.launch.is_some(), agg.blocks);
-        MvcResult {
-            size: cover.len() as u32,
-            weight: g.cover_weight(&cover),
-            cover,
-            stats: SolveStats {
-                wall_time: start.elapsed(),
-                tree_nodes: report.total_tree_nodes,
-                device_cycles: report.device_cycles,
-                launch: agg.launch,
-                report,
-                greedy_size: agg.greedy_total,
-                timed_out: deadline.was_hit(),
-                prep: Some(kernel.stats),
-                telemetry: None,
-            },
-        }
-    }
-
-    /// PVC through the kernelization pipeline. The rules preserve the
-    /// optimum, so `forced > k` is a conclusive *no*; otherwise the
-    /// component optima (each a per-component MVC sub-search) are
-    /// summed against the remaining budget.
-    fn solve_pvc_prep(
-        &self,
-        g: &CsrGraph,
-        prep_cfg: &PrepConfig,
-        k: u32,
-        start: Instant,
-        deadline: &Deadline,
-        obs: SolveObs<'_>,
-    ) -> PvcResult {
-        let kernel = parvc_prep::preprocess_traced(g, prep_cfg, obs.sink);
-        let forced = kernel.trace.forced.len() as u32;
-        if forced > k {
-            let mut stats = self.trivial_stats(start, forced);
-            stats.prep = Some(kernel.stats);
-            return PvcResult {
-                k,
-                cover: None,
-                stats,
+        let mut ring = None;
+        let mut sub_covers = Vec::with_capacity(components.len());
+        for (idx, comp) in components.into_iter().enumerate() {
+            if comp.num_edges() == 0 {
+                sub_covers.push(Some(Vec::new()));
+                continue;
+            }
+            let t_comp = SpanTimer::start(obs.sink);
+            obs.sink.counter("component.sub_searches", 1);
+            // The component graphs carry the original's vertex weights
+            // through the prep relabeling, so a weighted sub-search
+            // minimizes exactly the lifted objective.
+            let mode = match goal {
+                Goal::Pvc { k } if one_component => SearchMode::Pvc { k: k - forced },
+                _ if weighted => {
+                    let mut seed = self.seed_weighted(comp, &deadline);
+                    agg.greedy_size += seed.1.len() as u32;
+                    if let Some(w) = warm {
+                        let w_weight = comp.cover_weight(w);
+                        if w_weight < seed.0 {
+                            seed = (w_weight, w.to_vec());
+                        }
+                    }
+                    SearchMode::WeightedMvc { initial: seed }
+                }
+                _ => {
+                    let mut seed = self.seed_unweighted(comp, &deadline);
+                    agg.greedy_size += seed.0;
+                    if let Some(w) = warm {
+                        if (w.len() as u32) < seed.0 {
+                            seed = (w.len() as u32, w.to_vec());
+                        }
+                    }
+                    SearchMode::Mvc { initial: seed }
+                }
             };
+            let inline = kernel.is_some() && comp.num_vertices() < PREP_INLINE_BELOW;
+            let (outcome, launch) = self.run_engine(comp, mode, &deadline, inline, &mut ring, obs);
+            let (cover, blocks) = outcome.into_parts();
+            if agg.blocks.is_empty() {
+                agg.blocks = blocks;
+            } else {
+                agg.blocks.extend(blocks);
+            }
+            agg.launch = agg.launch.or(launch);
+            sub_covers.push(cover);
+            t_comp.finish(obs.sink, "component", "sub-search", 0, idx as u64);
         }
-        let (sub_covers, agg) = self.solve_components(&kernel, deadline, false, obs);
-        let total = forced as u64 + sub_covers.iter().map(|c| c.len() as u64).sum::<u64>();
-        let cover = (total <= k as u64).then(|| kernel.lift(&sub_covers));
-        let report = self.launch_report(agg.launch.is_some(), agg.blocks);
-        PvcResult {
-            k,
-            cover,
-            stats: SolveStats {
-                wall_time: start.elapsed(),
-                tree_nodes: report.total_tree_nodes,
-                device_cycles: report.device_cycles,
-                launch: agg.launch,
-                report,
-                greedy_size: agg.greedy_total,
-                timed_out: deadline.was_hit(),
-                prep: Some(kernel.stats),
-                telemetry: None,
-            },
-        }
+
+        let sub_covers: Option<Vec<Vec<u32>>> = sub_covers.into_iter().collect();
+        let cover = match &kernel {
+            Some(kernel) => sub_covers.map(|subs| kernel.lift(&subs)),
+            // Prep off: the one sub-cover is already a cover of `g`.
+            None => sub_covers.and_then(|mut subs| subs.pop()),
+        };
+        let cover = match goal {
+            Goal::Mvc => cover,
+            Goal::Pvc { k } => cover.filter(|c| c.len() <= k as usize),
+        };
+        let prep = kernel.map(|k| k.stats);
+        (cover, self.stats(start, agg, &deadline, prep))
     }
 
     /// The launch seed under the configured
@@ -818,100 +725,21 @@ impl Solver {
         }
     }
 
-    /// Solves every kernel component's MVC under the shared deadline —
-    /// the budget coordination that makes the per-component bests sum
-    /// into a global bound. Components below [`PREP_INLINE_BELOW`]
-    /// vertices run inline (single block, same policy); larger ones get
-    /// a full resident-grid launch. Hybrid and Batched build their
-    /// policy factory once and reset it between components, so the
-    /// whole solve allocates one worklist ring.
-    fn solve_components(
-        &self,
-        kernel: &parvc_prep::Kernel,
-        deadline: &Deadline,
-        weighted: bool,
-        obs: SolveObs<'_>,
-    ) -> (Vec<Vec<u32>>, ComponentAggregate) {
-        let mut agg = ComponentAggregate {
-            blocks: Vec::new(),
-            launch: None,
-            greedy_total: kernel.trace.forced.len() as u32,
-        };
-        let mut sub_covers = Vec::with_capacity(kernel.components.len());
-        let mut ring = (!kernel.components.is_empty())
-            .then(|| self.hybrid_factory())
-            .flatten();
-        for (idx, inst) in kernel.components.iter().enumerate() {
-            if inst.graph.num_edges() == 0 {
-                sub_covers.push(Vec::new());
-                continue;
-            }
-            let t_comp = SpanTimer::start(obs.sink);
-            obs.sink.counter("component.sub_searches", 1);
-            let inline = inst.graph.num_vertices() < PREP_INLINE_BELOW;
-            // The component graphs carry the original's vertex weights
-            // through the prep relabeling, so a weighted sub-search
-            // minimizes exactly the lifted objective.
-            let (outcome, launch, best_cover);
-            if weighted {
-                let greedy = self.seed_weighted(&inst.graph, deadline);
-                agg.greedy_total += greedy.1.len() as u32;
-                let mode = SearchMode::WeightedMvc { initial: greedy };
-                (outcome, launch) =
-                    self.run_engine(&inst.graph, mode, deadline, inline, ring.as_mut(), obs);
-                best_cover = match outcome {
-                    SearchOutcome::Weighted(raw) => {
-                        agg.blocks.extend(raw.blocks);
-                        raw.best_cover
-                    }
-                    _ => unreachable!("weighted mode returns a weighted outcome"),
-                };
-            } else {
-                let greedy = self.seed_unweighted(&inst.graph, deadline);
-                agg.greedy_total += greedy.0;
-                let mode = SearchMode::Mvc { initial: greedy };
-                (outcome, launch) =
-                    self.run_engine(&inst.graph, mode, deadline, inline, ring.as_mut(), obs);
-                best_cover = match outcome {
-                    SearchOutcome::Mvc(raw) => {
-                        agg.blocks.extend(raw.blocks);
-                        raw.best_cover
-                    }
-                    _ => unreachable!("MVC mode returns an MVC outcome"),
-                };
-            }
-            if agg.launch.is_none() {
-                agg.launch = launch;
-            }
-            sub_covers.push(best_cover);
-            t_comp.finish(obs.sink, "component", "sub-search", 0, idx as u64);
-        }
-        (sub_covers, agg)
-    }
-
-    /// The Hybrid/Batched policy factory, or `None` for the policies
-    /// whose factory is not a worklist ring.
-    fn hybrid_factory(&self) -> Option<HybridFactory> {
-        match self.cfg.algorithm {
-            Algorithm::Hybrid => Some(HybridFactory::new(&self.cfg.hybrid, 1)),
-            Algorithm::Batched => Some(HybridFactory::new(&self.cfg.hybrid, DEFAULT_BATCH)),
-            _ => None,
-        }
-    }
-
     /// The one parameterized dispatch: builds the policy factory for
     /// the configured [`Algorithm`] and hands `mode` to the engine.
     /// `inline` forces single-block execution on the calling thread
     /// (used for small kernel components); Sequential always runs
-    /// inline. A caller that owns a [`hybrid_factory`](Self::hybrid_factory)
-    /// passes it as `ring`: it is reset and used instead of a new one.
+    /// inline. Hybrid and Batched build their worklist ring into
+    /// `ring` on a solve's first search and reset it for every later
+    /// one, so a solve allocates one ring however many components it
+    /// searches.
     fn run_engine(
         &self,
         g: &CsrGraph,
         mode: SearchMode,
         deadline: &Deadline,
         inline: bool,
-        ring: Option<&mut HybridFactory>,
+        ring: &mut Option<HybridFactory>,
         obs: SolveObs<'_>,
     ) -> (SearchOutcome, Option<LaunchConfig>) {
         let depth_bound = mode.depth_bound(g);
@@ -938,30 +766,32 @@ impl Solver {
             },
         };
         let owned: Box<dyn PolicyFactory>;
-        let factory: &dyn PolicyFactory = match ring {
-            Some(ring) => {
+        let factory: &dyn PolicyFactory = match self.cfg.algorithm {
+            Algorithm::Hybrid | Algorithm::Batched => {
+                let batch = if self.cfg.algorithm == Algorithm::Batched {
+                    DEFAULT_BATCH
+                } else {
+                    1
+                };
+                let ring = ring.get_or_insert_with(|| HybridFactory::new(&self.cfg.hybrid, batch));
                 ring.reset();
                 ring
             }
-            None => {
-                owned = match self.cfg.algorithm {
-                    Algorithm::Sequential => Box::new(SequentialFactory::new()),
-                    Algorithm::StackOnly { start_depth } => {
-                        Box::new(StackOnlyFactory::new(StackOnlyParams { start_depth }))
-                    }
-                    Algorithm::Hybrid | Algorithm::Batched => Box::new(
-                        self.hybrid_factory()
-                            .expect("Hybrid and Batched have a ring factory"),
-                    ),
-                    Algorithm::WorkStealing | Algorithm::ComponentSteal => {
-                        let workers = launch.as_ref().map_or(1, |l| l.grid_blocks);
-                        Box::new(CompStealFactory::new(
-                            workers as usize,
-                            depth_bound,
-                            self.cfg.algorithm == Algorithm::ComponentSteal,
-                        ))
-                    }
-                };
+            Algorithm::Sequential => {
+                owned = Box::new(SequentialFactory::new());
+                owned.as_ref()
+            }
+            Algorithm::StackOnly { start_depth } => {
+                owned = Box::new(StackOnlyFactory::new(StackOnlyParams { start_depth }));
+                owned.as_ref()
+            }
+            Algorithm::WorkStealing | Algorithm::ComponentSteal => {
+                let workers = launch.as_ref().map_or(1, |l| l.grid_blocks);
+                owned = Box::new(CompStealFactory::new(
+                    workers as usize,
+                    depth_bound,
+                    self.cfg.algorithm == Algorithm::ComponentSteal,
+                ));
                 owned.as_ref()
             }
         };
@@ -983,30 +813,29 @@ impl Solver {
         (outcome, launch)
     }
 
-    fn launch_report(
+    /// The stats of a solve whose searches `agg` sums up. The report
+    /// is laid out on the configured device when any search launched
+    /// a grid, on a one-SM device otherwise.
+    fn stats(
         &self,
-        parallel: bool,
-        blocks: Vec<parvc_simgpu::counters::BlockCounters>,
-    ) -> LaunchReport {
-        if parallel {
-            LaunchReport::new(&self.cfg.device, blocks)
+        start: Instant,
+        agg: ComponentAggregate,
+        deadline: &Deadline,
+        prep: Option<parvc_prep::PrepStats>,
+    ) -> SolveStats {
+        let report = if agg.launch.is_some() {
+            LaunchReport::new(&self.cfg.device, agg.blocks)
         } else {
-            LaunchReport::new(&DeviceSpec::scaled(1), blocks)
-        }
-    }
-
-    pub(crate) fn trivial_stats(&self, start: Instant, greedy_size: u32) -> SolveStats {
-        SolveStats {
-            wall_time: start.elapsed(),
-            tree_nodes: 0,
-            device_cycles: 0,
-            launch: None,
-            report: LaunchReport::new(&DeviceSpec::scaled(1), Vec::new()),
-            greedy_size,
-            timed_out: false,
-            prep: None,
-            telemetry: None,
-        }
+            LaunchReport::new(&DeviceSpec::scaled(1), agg.blocks)
+        };
+        SolveStats::new(
+            start.elapsed(),
+            agg.launch,
+            report,
+            agg.greedy_size,
+            deadline.was_hit(),
+            prep,
+        )
     }
 
     /// Builds the per-solve observers from the builder configuration:
@@ -1040,6 +869,15 @@ impl Solver {
     }
 }
 
+/// What a solve asks for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Goal {
+    /// A minimum cover (of weight, on a weighted solver).
+    Mvc,
+    /// Any cover of at most `k` vertices.
+    Pvc { k: u32 },
+}
+
 /// The per-solve observation context threaded from the public entry
 /// points down to the engine: a borrowed sink (the no-op static when
 /// telemetry is off) plus the optional progress heartbeat.
@@ -1061,12 +899,14 @@ impl<'a> SolveObs<'a> {
     }
 }
 
-/// Accumulated instrumentation across the per-component sub-searches of
-/// a preprocessed solve.
+/// What a solve's engine searches add up to: every block's counters in
+/// search order, the first grid launch, and the greedy-seed size
+/// (forced vertices plus each searched component's seed).
+#[derive(Default)]
 struct ComponentAggregate {
     blocks: Vec<BlockCounters>,
     launch: Option<LaunchConfig>,
-    greedy_total: u32,
+    greedy_size: u32,
 }
 
 #[cfg(test)]
@@ -1311,6 +1151,33 @@ mod tests {
         let cover = r.cover.expect("k = min is feasible");
         assert!(cover.len() as u32 <= min);
         assert!(is_vertex_cover(&g, &cover));
+    }
+
+    #[test]
+    fn preprocessed_pvc_on_one_component_stops_at_the_first_fit() {
+        // Prep leaves this instance one kernel component, so the PVC
+        // search runs on it with the budget the forced vertices leave
+        // instead of solving it to optimality first.
+        let g = gen::p_hat_complement(60, 2, 5);
+        let seq = Solver::builder()
+            .algorithm(Algorithm::Sequential)
+            .grid_limit(Some(1));
+        let opt = seq.clone().build().solve_mvc(&g).size;
+        let off = seq.clone().build().solve_pvc(&g, opt);
+        let on = seq
+            .preprocess(PrepConfig::default())
+            .build()
+            .solve_pvc(&g, opt);
+        let cover = on.cover.expect("k = opt is feasible");
+        assert!(off.found());
+        assert!(cover.len() as u32 <= opt);
+        assert!(is_vertex_cover(&g, &cover));
+        assert!(
+            on.stats.tree_nodes <= off.stats.tree_nodes,
+            "prep on visited {} tree nodes, prep off {}",
+            on.stats.tree_nodes,
+            off.stats.tree_nodes
+        );
     }
 
     #[test]

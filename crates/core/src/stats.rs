@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use parvc_simgpu::counters::LaunchReport;
-use parvc_simgpu::LaunchConfig;
+use parvc_simgpu::{DeviceSpec, LaunchConfig};
 
 /// Statistics attached to every solve result.
 #[derive(Debug)]
@@ -22,6 +22,7 @@ pub struct SolveStats {
     pub report: LaunchReport,
     /// Size of the greedy approximation that seeded the search (for
     /// preprocessed solves: forced vertices plus per-component seeds).
+    /// A PVC search has no seed and adds nothing.
     pub greedy_size: u32,
     /// Whether the solve hit its wall-clock deadline; if so, MVC results
     /// are best-so-far (not proven optimal) and PVC results are
@@ -44,6 +45,36 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
+    /// The stats of a solve whose searches `report` lays out; the
+    /// tree-node and device-cycle totals are read off the report.
+    pub(crate) fn new(
+        wall_time: Duration,
+        launch: Option<LaunchConfig>,
+        report: LaunchReport,
+        greedy_size: u32,
+        timed_out: bool,
+        prep: Option<parvc_prep::PrepStats>,
+    ) -> Self {
+        SolveStats {
+            wall_time,
+            tree_nodes: report.total_tree_nodes,
+            device_cycles: report.device_cycles,
+            launch,
+            report,
+            greedy_size,
+            timed_out,
+            prep,
+            telemetry: None,
+        }
+    }
+
+    /// The stats of a result no search produced: no time, no blocks,
+    /// no seed, no prep.
+    pub fn empty() -> Self {
+        let report = LaunchReport::new(&DeviceSpec::scaled(1), Vec::new());
+        Self::new(Duration::ZERO, None, report, 0, false, None)
+    }
+
     /// Wall time in seconds, as the paper's tables report.
     pub fn seconds(&self) -> f64 {
         self.wall_time.as_secs_f64()

@@ -35,9 +35,8 @@ use parvc_core::{
 use parvc_graph::gen::spec;
 use parvc_graph::{io, CsrGraph, EditScript};
 use parvc_obs::{RecordingSink, Sink, SpanTimer};
-use parvc_simgpu::counters::{BlockCounters, LaunchReport};
+use parvc_simgpu::counters::BlockCounters;
 use parvc_simgpu::exec::SERIAL;
-use parvc_simgpu::DeviceSpec;
 
 use crate::cache::{CacheEntry, CacheKey, Objective, ResultCache};
 use crate::proto::{self, Request, SolveFlags};
@@ -824,16 +823,6 @@ fn synthetic_result(g: &CsrGraph, entry: &CacheEntry) -> MvcResult {
         size: entry.cover.len() as u32,
         weight: g.cover_weight(&entry.cover),
         cover: entry.cover.clone(),
-        stats: SolveStats {
-            wall_time: Duration::ZERO,
-            tree_nodes: 0,
-            device_cycles: 0,
-            launch: None,
-            report: LaunchReport::new(&DeviceSpec::scaled(1), Vec::new()),
-            greedy_size: 0,
-            timed_out: false,
-            prep: None,
-            telemetry: None,
-        },
+        stats: SolveStats::empty(),
     }
 }

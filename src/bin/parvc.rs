@@ -179,8 +179,7 @@ const COMMANDS: &[CmdHelp] = &[
             },
             FlagHelp {
                 flag: "--extensions",
-                desc: "Enable the beyond-paper reduction/pruning extensions \
-                       (domination rule, matching lower bound).",
+                desc: "Enable the beyond-paper matching lower bound.",
             },
             FlagHelp {
                 flag: "--prep",

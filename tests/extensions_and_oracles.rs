@@ -1,5 +1,4 @@
-//! The optional extensions (domination rule, matching lower bound) must
-//! preserve exactness — and the Kőnig-theorem polynomial oracle lets us
+//! The optional matching lower bound must preserve exactness — and the Kőnig-theorem polynomial oracle lets us
 //! check all solvers on bipartite instances far beyond brute force.
 
 use parvc::core::brute::brute_force_mvc;
@@ -23,7 +22,6 @@ proptest! {
     fn extensions_keep_all_algorithms_exact(g in arb_graph()) {
         let (opt, _) = brute_force_mvc(&g);
         for ext in [
-            Extensions { domination_rule: true, ..Extensions::NONE },
             Extensions { matching_lower_bound: true, ..Extensions::NONE },
             Extensions::ALL,
         ] {
@@ -134,33 +132,4 @@ fn matching_lower_bound_tightens_the_greedy_gap() {
         .build();
     let r = solver.solve_mvc(&g);
     assert_eq!(r.size, 30);
-}
-
-#[test]
-fn domination_solves_threshold_graphs_without_branching() {
-    // In a complete split graph (clique + independent set, all cross
-    // edges), clique vertices dominate the others; with domination on,
-    // reduction alone should crack it.
-    let mut edges = Vec::new();
-    for u in 0..6u32 {
-        for v in (u + 1)..6 {
-            edges.push((u, v)); // clique 0..6
-        }
-        for w in 6..14u32 {
-            edges.push((u, w)); // cross edges
-        }
-    }
-    let g = CsrGraph::from_edges(14, &edges).unwrap();
-    let base = Solver::builder()
-        .algorithm(Algorithm::Sequential)
-        .build()
-        .solve_mvc(&g);
-    let dom = Solver::builder()
-        .algorithm(Algorithm::Sequential)
-        .domination_rule(true)
-        .build()
-        .solve_mvc(&g);
-    assert_eq!(base.size, dom.size);
-    assert_eq!(dom.size, 6, "the clique is the optimal cover");
-    assert!(dom.stats.tree_nodes <= base.stats.tree_nodes);
 }

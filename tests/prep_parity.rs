@@ -1,7 +1,7 @@
-//! Kernel parity: prep's output and the prep-on solves are pinned to
-//! constants, so a change to how prep computes its kernel (matching,
-//! component split, degree pools) or to how `solve_components` runs
-//! its sub-searches cannot move a single bit of the result.
+//! Kernel and solve-path parity: prep's output and the solves are
+//! pinned to constants, so a change to how prep computes its kernel
+//! (matching, component split, degree pools) or to how the solve
+//! driver runs its searches cannot move a single bit of the result.
 //!
 //! * **Kernels.** Each row digests the forced and excluded lists in
 //!   application order, every component's `old_ids` and
@@ -15,13 +15,21 @@
 //!   cover, the tree-node count and every
 //!   `BlockCounters` field of every component sub-search (the
 //!   projection `policy_parity.rs` uses).
+//! * **Solve paths.** Each row digests every public solve on one small
+//!   instance under one policy at `grid_limit(1)`, with prep off or
+//!   on: MVC, weighted MVC on a uniformly weighted copy, PVC at
+//!   opt − 1 and at opt, PVC on a weighted solver, and one edit-script
+//!   re-solve. Besides the answers and the block counters it covers
+//!   the `SolveStats` fields no other parity digest does:
+//!   `greedy_size`, the launch's grid and block size, `timed_out` and
+//!   whether prep stats are present.
 //!
-//! The corpus is the `massive-prep` benchmark's three families at
-//! 20,000 and 2,000 vertices plus `pace_like` and `gnp` instances. On
-//! a mismatch the assertion prints the whole measured table, in the
-//! form the constants below are written in.
+//! The kernel and solve corpus is the `massive-prep` benchmark's three
+//! families at 20,000 and 2,000 vertices plus `pace_like` and `gnp`
+//! instances. On a mismatch the assertion prints the whole measured
+//! table, in the form the constants below are written in.
 
-use parvc::core::{Algorithm, MvcResult, Solver};
+use parvc::core::{Algorithm, MvcResult, SolveStats, Solver};
 use parvc::graph::{gen, CsrGraph};
 use parvc::prep::{preprocess, Kernel, PrepConfig};
 use parvc::simgpu::counters::{Activity, BlockCounters};
@@ -32,6 +40,11 @@ type KernelRow = (&'static str, &'static str, [u64; 4], u64);
 
 /// `(instance, policy, [cover size, tree nodes], digest)`.
 type SolveRow = (&'static str, &'static str, [u64; 2], u64);
+
+/// `(instance, prep, policy, tree nodes of [MVC, weighted MVC,
+/// PVC at opt − 1, PVC at opt, weighted-solver PVC, re-solve],
+/// digest)`.
+type PathRow = (&'static str, &'static str, &'static str, [u64; 6], u64);
 
 #[rustfmt::skip]
 const KERNELS: &[KernelRow] = &[
@@ -141,6 +154,106 @@ const SOLVES: &[SolveRow] = &[
     ("powergrid:2000:300@7/crown", "hybrid", [852, 142], 6480898760992448895),
     ("powergrid:2000:300@7/crown", "batch", [852, 142], 6480898760992448895),
     ("powergrid:2000:300@7/crown", "compsteal", [852, 142], 16834334015001410054),
+];
+
+#[rustfmt::skip]
+const PATHS: &[PathRow] = &[
+    ("gnp:40:0.2@9", "off", "seq", [89, 409, 89, 15, 15, 57], 7257581103116183350),
+    ("gnp:40:0.2@9", "off", "stack", [1268, 1802, 1268, 15, 15, 1162], 1287158428317524343),
+    ("gnp:40:0.2@9", "off", "hybrid", [89, 409, 89, 15, 15, 57], 13987862901058849936),
+    ("gnp:40:0.2@9", "off", "steal", [89, 409, 89, 15, 15, 57], 4782938092145520576),
+    ("gnp:40:0.2@9", "off", "batch", [89, 409, 89, 15, 15, 57], 8794781432713836187),
+    ("gnp:40:0.2@9", "off", "compsteal", [89, 381, 89, 15, 15, 57], 10087180145958208447),
+    ("gnp:40:0.2@9", "on", "seq", [89, 409, 89, 15, 15, 57], 17790628219375482185),
+    ("gnp:40:0.2@9", "on", "stack", [1268, 1802, 1268, 15, 15, 1162], 8201633506500609781),
+    ("gnp:40:0.2@9", "on", "hybrid", [89, 409, 89, 15, 15, 57], 10795556336136593423),
+    ("gnp:40:0.2@9", "on", "steal", [89, 409, 89, 15, 15, 57], 15999756841658467487),
+    ("gnp:40:0.2@9", "on", "batch", [89, 409, 89, 15, 15, 57], 6810011561989265995),
+    ("gnp:40:0.2@9", "on", "compsteal", [89, 381, 89, 15, 15, 57], 17654286285981147487),
+    ("components:64:8:0.5@3", "off", "seq", [259, 3507, 259, 14, 14, 5], 944230719659981507),
+    ("components:64:8:0.5@3", "off", "stack", [1840, 5222, 1840, 14, 14, 640], 15537106945797542559),
+    ("components:64:8:0.5@3", "off", "hybrid", [259, 3653, 259, 14, 14, 5], 6902112856379203995),
+    ("components:64:8:0.5@3", "off", "steal", [259, 3507, 259, 14, 14, 5], 5718822235150183131),
+    ("components:64:8:0.5@3", "off", "batch", [259, 3911, 259, 14, 14, 5], 5065560486829879064),
+    ("components:64:8:0.5@3", "off", "compsteal", [7, 50, 7, 9, 9, 5], 16879015836785433662),
+    ("components:64:8:0.5@3", "on", "seq", [7, 48, 7, 7, 7, 5], 2018803215685202760),
+    ("components:64:8:0.5@3", "on", "stack", [1792, 5248, 1792, 1792, 1792, 640], 12895458118097989865),
+    ("components:64:8:0.5@3", "on", "hybrid", [7, 48, 7, 7, 7, 5], 9445746421334904285),
+    ("components:64:8:0.5@3", "on", "steal", [7, 48, 7, 7, 7, 5], 261353673693255846),
+    ("components:64:8:0.5@3", "on", "batch", [7, 48, 7, 7, 7, 5], 802711092139697629),
+    ("components:64:8:0.5@3", "on", "compsteal", [7, 48, 7, 7, 7, 5], 2060733364120501724),
+    ("phat:60:2@5", "off", "seq", [395, 755, 371, 102, 102, 363], 3970146637827003821),
+    ("phat:60:2@5", "off", "stack", [1196, 1920, 1172, 102, 102, 1136], 3827668729262821210),
+    ("phat:60:2@5", "off", "hybrid", [435, 765, 371, 138, 138, 363], 14164015765792869335),
+    ("phat:60:2@5", "off", "steal", [395, 755, 371, 102, 102, 363], 8522304768949437548),
+    ("phat:60:2@5", "off", "batch", [441, 807, 371, 201, 201, 363], 4358225676036558273),
+    ("phat:60:2@5", "off", "compsteal", [395, 747, 371, 102, 102, 363], 2318602230024113385),
+    ("phat:60:2@5", "on", "seq", [395, 755, 371, 102, 102, 369], 8114031671563635071),
+    ("phat:60:2@5", "on", "stack", [1196, 1920, 1172, 102, 102, 1142], 16144541139790864051),
+    ("phat:60:2@5", "on", "hybrid", [435, 765, 371, 138, 138, 471], 10574743243051883796),
+    ("phat:60:2@5", "on", "steal", [395, 755, 371, 102, 102, 369], 8995989019921298276),
+    ("phat:60:2@5", "on", "batch", [441, 807, 371, 201, 201, 439], 4533789239838406005),
+    ("phat:60:2@5", "on", "compsteal", [395, 747, 371, 102, 102, 369], 541309276311433809),
+    ("phat:70:2@1", "off", "seq", [643, 1237, 643, 51, 51, 651], 13027140578155775767),
+    ("phat:70:2@1", "off", "stack", [1540, 2430, 1540, 51, 51, 1570], 12060119872323301257),
+    ("phat:70:2@1", "off", "hybrid", [643, 1237, 643, 51, 51, 651], 14188179870032968118),
+    ("phat:70:2@1", "off", "steal", [643, 1237, 643, 51, 51, 651], 2442761238350658928),
+    ("phat:70:2@1", "off", "batch", [643, 1237, 643, 51, 51, 651], 3413242140872818083),
+    ("phat:70:2@1", "off", "compsteal", [643, 1235, 643, 51, 51, 651], 6405909013216769212),
+    ("phat:70:2@1", "on", "seq", [643, 1237, 643, 51, 51, 651], 12120331225005762252),
+    ("phat:70:2@1", "on", "stack", [1540, 2430, 1540, 51, 51, 1570], 17194529748175674226),
+    ("phat:70:2@1", "on", "hybrid", [643, 1237, 643, 51, 51, 675], 4955621609906935934),
+    ("phat:70:2@1", "on", "steal", [643, 1237, 643, 51, 51, 651], 12457455706270908835),
+    ("phat:70:2@1", "on", "batch", [643, 1237, 643, 51, 51, 677], 13282841119769750233),
+    ("phat:70:2@1", "on", "compsteal", [643, 1235, 643, 51, 51, 651], 1127996567981270989),
+    ("ba:60:2@4", "off", "seq", [1, 33, 1, 1, 1, 1], 18051472687156427559),
+    ("ba:60:2@4", "off", "stack", [256, 1112, 256, 1, 1, 256], 17553235068904556505),
+    ("ba:60:2@4", "off", "hybrid", [1, 33, 1, 1, 1, 1], 17912033910585330443),
+    ("ba:60:2@4", "off", "steal", [1, 33, 1, 1, 1, 1], 12745427506054298790),
+    ("ba:60:2@4", "off", "batch", [1, 33, 1, 1, 1, 1], 1009445601324953721),
+    ("ba:60:2@4", "off", "compsteal", [1, 22, 1, 1, 1, 1], 11043875529826172386),
+    ("ba:60:2@4", "on", "seq", [0, 22, 0, 0, 0, 0], 11925194520349676909),
+    ("ba:60:2@4", "on", "stack", [0, 1408, 0, 0, 0, 0], 2656712976638386917),
+    ("ba:60:2@4", "on", "hybrid", [0, 22, 0, 0, 0, 0], 16701943531054673467),
+    ("ba:60:2@4", "on", "steal", [0, 22, 0, 0, 0, 0], 10362327356242866243),
+    ("ba:60:2@4", "on", "batch", [0, 22, 0, 0, 0, 0], 7733110464116791787),
+    ("ba:60:2@4", "on", "compsteal", [0, 21, 0, 0, 0, 0], 13272184609318723358),
+    ("pace:80:6@3", "off", "seq", [519, 19187, 519, 21, 21, 357], 1507682734993247321),
+    ("pace:80:6@3", "off", "stack", [1928, 20972, 1928, 21, 21, 1682], 5812725897885240858),
+    ("pace:80:6@3", "off", "hybrid", [519, 19311, 519, 21, 21, 357], 8537102937205465836),
+    ("pace:80:6@3", "off", "steal", [519, 19187, 519, 21, 21, 357], 8815612367262068825),
+    ("pace:80:6@3", "off", "batch", [519, 20137, 519, 21, 21, 357], 18055844031117673776),
+    ("pace:80:6@3", "off", "compsteal", [356, 3330, 356, 21, 21, 317], 15327729505377501487),
+    ("pace:80:6@3", "on", "seq", [519, 19187, 519, 21, 21, 357], 4116121493463367420),
+    ("pace:80:6@3", "on", "stack", [1928, 20972, 1928, 21, 21, 1682], 15398303737707378855),
+    ("pace:80:6@3", "on", "hybrid", [519, 19311, 519, 21, 21, 357], 9623909740786593416),
+    ("pace:80:6@3", "on", "steal", [519, 19187, 519, 21, 21, 357], 17171757730042389765),
+    ("pace:80:6@3", "on", "batch", [519, 20137, 519, 21, 21, 357], 15277439423544594758),
+    ("pace:80:6@3", "on", "compsteal", [356, 3330, 356, 21, 21, 317], 13172655420772546407),
+    ("edgeless:7", "off", "seq", [0, 0, 0, 0, 0, 1], 7760359967210286023),
+    ("edgeless:7", "off", "stack", [0, 0, 0, 0, 0, 256], 4230893342013119962),
+    ("edgeless:7", "off", "hybrid", [0, 0, 0, 0, 0, 1], 13471884197482443222),
+    ("edgeless:7", "off", "steal", [0, 0, 0, 0, 0, 1], 14860917497007587863),
+    ("edgeless:7", "off", "batch", [0, 0, 0, 0, 0, 1], 13471884197482443222),
+    ("edgeless:7", "off", "compsteal", [0, 0, 0, 0, 0, 1], 14860917497007587863),
+    ("edgeless:7", "on", "seq", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "stack", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "hybrid", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "steal", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "batch", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "compsteal", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("star:10", "off", "seq", [1, 1, 1, 1, 1, 1], 3169812619945484420),
+    ("star:10", "off", "stack", [256, 256, 256, 1, 1, 256], 8758672875416319570),
+    ("star:10", "off", "hybrid", [1, 1, 1, 1, 1, 1], 12836916177130241552),
+    ("star:10", "off", "steal", [1, 1, 1, 1, 1, 1], 7131129684564401300),
+    ("star:10", "off", "batch", [1, 1, 1, 1, 1, 1], 12836916177130241552),
+    ("star:10", "off", "compsteal", [1, 1, 1, 1, 1, 1], 7131129684564401300),
+    ("star:10", "on", "seq", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "stack", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "hybrid", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "steal", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "batch", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "compsteal", [0, 0, 0, 0, 0, 0], 14746806931736093560),
 ];
 
 /// The massive-prep families at `n` vertices, two seeds each.
@@ -327,4 +440,120 @@ fn prep_on_solves_match_the_captured_digests() {
         }
     }
     assert_rows("solves", &rows, SOLVES);
+}
+
+/// Small instances whose solves stay in the hundreds of tree nodes at
+/// one block with prep off: a 70-vertex kernel component that is
+/// launched rather than inlined, split-prone and tree-like families,
+/// and the edgeless and star corner cases.
+fn path_corpus() -> Vec<(&'static str, CsrGraph)> {
+    vec![
+        ("gnp:40:0.2@9", gen::gnp(40, 0.2, 9)),
+        (
+            "components:64:8:0.5@3",
+            gen::sparse_components(64, 8, 0.5, 3),
+        ),
+        ("phat:60:2@5", gen::p_hat_complement(60, 2, 5)),
+        ("phat:70:2@1", gen::p_hat_complement(70, 2, 1)),
+        ("ba:60:2@4", gen::barabasi_albert(60, 2, 4)),
+        ("pace:80:6@3", gen::pace_like(80, 6, 3)),
+        ("edgeless:7", CsrGraph::from_edges(7, &[]).unwrap()),
+        ("star:10", gen::star(10)),
+    ]
+}
+
+/// The answer-independent part of a solve: its counters and the stats
+/// fields the other tables leave out.
+fn stats(d: &mut Digest, s: &SolveStats) {
+    d.words([
+        s.tree_nodes,
+        s.device_cycles,
+        u64::from(s.greedy_size),
+        u64::from(s.timed_out),
+        u64::from(s.prep.is_some()),
+    ]);
+    match &s.launch {
+        Some(l) => d.words([1, u64::from(l.grid_blocks), u64::from(l.block_size)]),
+        None => d.word(0),
+    }
+    for b in &s.report.blocks {
+        block(d, b);
+    }
+}
+
+fn mvc(d: &mut Digest, r: &MvcResult) {
+    d.words([u64::from(r.size), r.weight]);
+    d.list(&r.cover);
+    stats(d, &r.stats);
+}
+
+#[test]
+fn every_solve_path_matches_the_captured_digests() {
+    let mut rows = Vec::new();
+    for (inst, g) in path_corpus() {
+        let weighted_g = gen::with_uniform_weights(g.clone(), 10, 5);
+        let edits = gen::edit_script(&g, 8, 0.5, 1);
+        for prep in ["off", "on"] {
+            for policy in ["seq", "stack", "hybrid", "steal", "batch", "compsteal"] {
+                let mut builder = Solver::builder()
+                    .algorithm(Algorithm::parse(policy).unwrap())
+                    .grid_limit(Some(1));
+                if prep == "on" {
+                    builder = builder.preprocess(PrepConfig::default());
+                }
+                let solver = builder.clone().build();
+                let weighted = builder.weighted().build();
+                let mut d = Digest::new();
+                let mut nodes = [0; 6];
+
+                let opt = solver.solve_mvc(&g);
+                mvc(&mut d, &opt);
+                nodes[0] = opt.stats.tree_nodes;
+
+                let w = weighted.solve_mvc(&weighted_g);
+                mvc(&mut d, &w);
+                nodes[1] = w.stats.tree_nodes;
+
+                let pvcs = [
+                    opt.size.checked_sub(1).map(|k| solver.solve_pvc(&g, k)),
+                    Some(solver.solve_pvc(&g, opt.size)),
+                    Some(weighted.solve_pvc(&weighted_g, opt.size)),
+                ];
+                for (slot, pvc) in pvcs.iter().enumerate() {
+                    let Some(pvc) = pvc else {
+                        d.word(u64::MAX);
+                        continue;
+                    };
+                    // Below the optimum there is no cover; at it, there is.
+                    assert_eq!(
+                        pvc.found(),
+                        slot > 0,
+                        "{inst}/{prep}/{policy} k = {}",
+                        pvc.k
+                    );
+                    d.word(u64::from(pvc.k));
+                    match &pvc.cover {
+                        Some(c) => d.list(c),
+                        None => d.word(u64::MAX),
+                    }
+                    stats(&mut d, &pvc.stats);
+                    nodes[2 + slot] = pvc.stats.tree_nodes;
+                }
+
+                let re = solver.resolve(&g, &opt, &edits).unwrap();
+                mvc(&mut d, &re.result);
+                let s = &re.stats;
+                d.words([
+                    u64::from(s.components_resolved),
+                    u64::from(s.warm_bound_hits),
+                    u64::from(s.warm_skips),
+                    s.resolve_tree_nodes,
+                ]);
+                nodes[5] = re.result.stats.tree_nodes;
+
+                rows.push((inst, prep, policy, nodes, d.0));
+            }
+        }
+    }
+    assert_rows("solve paths", &rows, PATHS);
 }

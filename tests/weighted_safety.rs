@@ -161,8 +161,8 @@ fn weighted_component_branching_stays_exact() {
     }
 }
 
-/// Weighted mode composes with the reduction/pruning extensions
-/// (domination rule + matching lower bound run their weighted gates).
+/// Weighted mode composes with the pruning extension (the matching
+/// lower bound runs in weight units).
 #[test]
 fn weighted_extensions_stay_exact() {
     for seed in 0..4u64 {
