@@ -20,7 +20,9 @@
 //!    upper bound.
 //!
 //! The stages run round-robin until none of them changes the instance,
-//! then the residual is split into connected components in one pass
+//! skipping any stage whose input has not changed since it was last
+//! known to be a no-op ([`ReduceRule::idempotent`]). Then the residual
+//! is split into connected components in one pass
 //! ([`ReducedInstance`]s, relabeled to `0..n` by
 //! [`parvc_graph::ops::induced_components`]). The resulting [`Kernel`]
 //! carries a [`LiftTrace`]; [`Kernel::lift`] turns one sub-cover per
@@ -197,7 +199,8 @@ pub struct PrepStats {
     pub components: u32,
     /// Vertices in the largest kernel component.
     pub largest_component: u32,
-    /// Outer fixpoint rounds executed.
+    /// Outer fixpoint rounds executed, counting the last one, in which
+    /// no pass changed the instance (its passes may all be skipped).
     pub rounds: u32,
     /// Per-rule fire counts, in pipeline order.
     pub rules: Vec<RuleStats>,
@@ -252,7 +255,8 @@ pub fn preprocess(g: &CsrGraph, cfg: &PrepConfig) -> Kernel {
 }
 
 /// [`preprocess`] with a telemetry sink: records one `"prep"` span per
-/// rule pass (named after the rule) plus the whole-pipeline span, a
+/// rule pass that ran (named after the rule; a skipped pass records
+/// nothing) plus the whole-pipeline span, a
 /// `"split"` span around the residual component split, and the
 /// headline reduction numbers as gauges. With the no-op sink this is
 /// exactly [`preprocess`].
@@ -291,11 +295,22 @@ pub fn preprocess_traced(g: &CsrGraph, cfg: &PrepConfig, sink: &dyn parvc_obs::S
     }
     let mut rule_stats: Vec<RuleStats> = rules.iter().map(|r| RuleStats::new(r.name())).collect();
 
+    // Every rule decision removes a live vertex, so the live count is an
+    // exact change stamp. `fresh[i]` is the stamp at which rule `i` is
+    // known to change nothing: the end of its last pass for an
+    // idempotent rule, the start of it for any other. A pass at that
+    // stamp is skipped, which leaves every round's outcome, and so the
+    // kernel and the round count, as if it had run.
+    let mut fresh: Vec<Option<u32>> = vec![None; rules.len()];
     let mut rounds = 0;
     while !rules.is_empty() {
         rounds += 1;
         let mut changed = false;
-        for (rule, stats) in rules.iter_mut().zip(rule_stats.iter_mut()) {
+        for ((rule, stats), fresh) in rules.iter_mut().zip(&mut rule_stats).zip(&mut fresh) {
+            let stamp = st.live_vertices();
+            if *fresh == Some(stamp) {
+                continue;
+            }
             stats.passes += 1;
             let before = stats.eliminated();
             let t_pass = parvc_obs::SpanTimer::start(sink);
@@ -303,6 +318,11 @@ pub fn preprocess_traced(g: &CsrGraph, cfg: &PrepConfig, sink: &dyn parvc_obs::S
                 changed = true;
             }
             t_pass.finish(sink, "prep", rule.name(), 0, stats.eliminated() - before);
+            *fresh = Some(if rule.idempotent() {
+                st.live_vertices()
+            } else {
+                stamp
+            });
         }
         if !changed || rounds >= cfg.max_rounds {
             break;

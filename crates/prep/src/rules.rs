@@ -48,7 +48,9 @@ pub struct RuleStats {
     pub covered: u64,
     /// Vertices the rule dropped as avoidable.
     pub excluded: u64,
-    /// Pipeline passes the rule ran in.
+    /// Pipeline passes the rule ran in. A pass the pipeline skipped,
+    /// because the instance had not changed since the rule was last
+    /// known to be a no-op on it, is not counted.
     pub passes: u32,
     /// Why the rule did not run, when the pipeline disabled it (e.g.
     /// weight-unsound rules under
@@ -77,7 +79,9 @@ impl RuleStats {
 
 /// One stage of the preprocessing pipeline. Stages are individually
 /// toggleable through [`PrepConfig`](crate::PrepConfig) and run
-/// round-robin until none of them changes the instance.
+/// round-robin until none of them changes the instance. A rule's pass
+/// is skipped while the instance is one the rule is known to leave
+/// unchanged (see [`idempotent`](Self::idempotent)).
 pub trait ReduceRule {
     /// Display name used in stats and CLI output.
     fn name(&self) -> &'static str;
@@ -85,6 +89,15 @@ pub trait ReduceRule {
     /// Runs the rule once over the current state (a rule may iterate to
     /// its own internal fixpoint). Returns whether anything changed.
     fn apply(&mut self, st: &mut PrepState<'_>, stats: &mut RuleStats) -> bool;
+
+    /// Whether a pass on the state this rule's own last pass left
+    /// changes nothing, so that only other rules' eliminations can give
+    /// it work again. The default, `false`, re-runs the rule after every
+    /// pass that eliminated something, which suits a rule whose
+    /// threshold moves with the instance.
+    fn idempotent(&self) -> bool {
+        false
+    }
 }
 
 /// Exhaustive degree-0/1/2 elimination — the up-front counterpart of
@@ -108,6 +121,11 @@ pub struct LowDegreeRule {
 impl ReduceRule for LowDegreeRule {
     fn name(&self) -> &'static str {
         "degree-0/1/2"
+    }
+
+    /// A pass drains its pools to its own fixpoint.
+    fn idempotent(&self) -> bool {
+        true
     }
 
     fn apply(&mut self, st: &mut PrepState<'_>, stats: &mut RuleStats) -> bool {
@@ -281,6 +299,13 @@ impl ReduceRule for CrownRule {
         "crown (LP/NT)"
     }
 
+    /// After a pass the residual's LP optimum is all-½: its double
+    /// cover has a perfect matching, so the Kőnig cover forces and
+    /// excludes nothing.
+    fn idempotent(&self) -> bool {
+        true
+    }
+
     fn apply(&mut self, st: &mut PrepState<'_>, stats: &mut RuleStats) -> bool {
         if st.live_edges() == 0 {
             return false;
@@ -324,6 +349,9 @@ impl ReduceRule for CrownRule {
 /// This is deliberately stricter than the engine's in-loop
 /// `d(v) > best − |S| − 1` threshold: preprocessing must preserve the
 /// exact optimum, not merely the ability to improve on `best`.
+///
+/// Not [`idempotent`](ReduceRule::idempotent): forcing hubs shrinks
+/// the greedy bound, which can push more vertices over it.
 pub struct HighDegreeRule;
 
 impl ReduceRule for HighDegreeRule {
@@ -494,6 +522,36 @@ mod tests {
         let stats = run(&mut HighDegreeRule, &mut st);
         assert!(st.forced().contains(&0), "hub must be forced");
         assert!(stats.covered >= 1);
+    }
+
+    #[test]
+    fn idempotent_rules_leave_their_own_output_unchanged() {
+        let graphs = (0..12u64).flat_map(|seed| {
+            [
+                gen::gnp(40, 0.08, seed),
+                gen::sparse_components(60, 6, 0.3, seed),
+                gen::power_grid_like(80, 12, seed),
+                gen::barabasi_albert(50, 2, seed),
+                gen::pace_like(60, 5, seed),
+            ]
+        });
+        for g in graphs {
+            let rules: [Box<dyn ReduceRule>; 3] = [
+                Box::new(LowDegreeRule { weighted: false }),
+                Box::new(LowDegreeRule { weighted: true }),
+                Box::new(CrownRule),
+            ];
+            for mut rule in rules {
+                assert!(rule.idempotent());
+                let mut st = PrepState::new(&g);
+                let mut stats = RuleStats::new(rule.name());
+                rule.apply(&mut st, &mut stats);
+                let live = st.live_vertices();
+                assert!(!rule.apply(&mut st, &mut stats), "{}", rule.name());
+                assert_eq!(st.live_vertices(), live, "{}", rule.name());
+            }
+        }
+        assert!(!HighDegreeRule.idempotent());
     }
 
     #[test]

@@ -52,59 +52,59 @@ type PathRow = (&'static str, &'static str, &'static str, [u64; 6], u64);
 
 #[rustfmt::skip]
 const KERNELS: &[KernelRow] = &[
-    ("components:20000:1000:0.3@1", "default", [992, 725, 18283, 981], [2, 2, 2, 2], 1195114107662685247),
-    ("components:20000:1000:0.3@1", "weighted", [367, 290, 19343, 998], [2, 0, 0, 2], 17501586517385394370),
-    ("components:20000:1000:0.3@1", "crown", [2, 36, 19962, 1000], [0, 2, 0, 2], 16889091844851007390),
-    ("ba:20000:1@1", "default", [6006, 13994, 0, 0], [2, 2, 2, 2], 16334131823623672849),
-    ("ba:20000:1@1", "weighted", [4918, 11803, 3279, 677], [2, 0, 0, 2], 5205415821467101635),
-    ("ba:20000:1@1", "crown", [3152, 11140, 5708, 2305], [0, 2, 0, 2], 2601464502086185306),
-    ("powergrid:20000:3000@1", "default", [8536, 11464, 0, 0], [2, 2, 2, 2], 12961574698936616389),
-    ("powergrid:20000:3000@1", "weighted", [4953, 6664, 8383, 352], [2, 0, 0, 2], 17782554755982637842),
-    ("powergrid:20000:3000@1", "crown", [4650, 7578, 7772, 1250], [0, 2, 0, 2], 6475870254515595109),
-    ("components:20000:1000:0.3@7", "default", [972, 693, 18335, 980], [2, 2, 2, 2], 10010697557888724451),
-    ("components:20000:1000:0.3@7", "weighted", [314, 232, 19454, 1000], [2, 0, 0, 2], 770200488613589707),
-    ("components:20000:1000:0.3@7", "crown", [2, 19, 19979, 1000], [0, 2, 0, 2], 1020342484827397635),
-    ("ba:20000:1@7", "default", [5968, 14032, 0, 0], [2, 2, 2, 2], 4651607487366126529),
-    ("ba:20000:1@7", "weighted", [4881, 11760, 3359, 676], [2, 0, 0, 2], 12494505546279329577),
-    ("ba:20000:1@7", "crown", [3145, 11209, 5646, 2275], [0, 2, 0, 2], 15005897300981191509),
-    ("powergrid:20000:3000@7", "default", [8525, 11475, 0, 0], [2, 2, 2, 2], 12108935259289948341),
-    ("powergrid:20000:3000@7", "weighted", [4899, 6586, 8515, 372], [2, 0, 0, 2], 9846982945270714292),
-    ("powergrid:20000:3000@7", "crown", [4840, 7790, 7370, 1403], [0, 2, 0, 2], 1464325782304327264),
-    ("components:2000:100:0.3@1", "default", [120, 87, 1793, 98], [2, 2, 2, 2], 1884018478166407841),
-    ("components:2000:100:0.3@1", "weighted", [49, 35, 1916, 100], [2, 0, 0, 2], 9519636119204828076),
-    ("components:2000:100:0.3@1", "crown", [0, 3, 1997, 100], [0, 2, 0, 2], 3228013263740407996),
-    ("ba:2000:1@1", "default", [586, 1414, 0, 0], [2, 2, 2, 2], 12605556674295717625),
-    ("ba:2000:1@1", "weighted", [481, 1198, 321, 59], [2, 0, 0, 2], 3194248393506706263),
-    ("ba:2000:1@1", "crown", [306, 1134, 560, 223], [0, 2, 0, 2], 4711028644894945218),
-    ("powergrid:2000:300@1", "default", [852, 1148, 0, 0], [2, 2, 2, 2], 18190025408552795473),
-    ("powergrid:2000:300@1", "weighted", [476, 649, 875, 31], [2, 0, 0, 2], 9468599407538184481),
-    ("powergrid:2000:300@1", "crown", [481, 777, 742, 142], [0, 2, 0, 2], 13696023638675839555),
-    ("components:2000:100:0.3@7", "default", [73, 54, 1873, 98], [2, 2, 2, 2], 854075091927696907),
-    ("components:2000:100:0.3@7", "weighted", [28, 22, 1950, 100], [2, 0, 0, 2], 16698225371134063632),
-    ("components:2000:100:0.3@7", "crown", [0, 2, 1998, 100], [0, 2, 0, 2], 8211959301426670994),
-    ("ba:2000:1@7", "default", [599, 1401, 0, 0], [2, 2, 2, 2], 12349737333178373697),
-    ("ba:2000:1@7", "weighted", [494, 1164, 342, 51], [2, 0, 0, 2], 11998883385852326357),
-    ("ba:2000:1@7", "crown", [296, 1098, 606, 234], [0, 2, 0, 2], 4362793364152184683),
-    ("powergrid:2000:300@7", "default", [852, 1148, 0, 0], [2, 2, 2, 2], 13515685578500486909),
-    ("powergrid:2000:300@7", "weighted", [474, 648, 878, 30], [2, 0, 0, 2], 10747613632232630505),
-    ("powergrid:2000:300@7", "crown", [432, 728, 840, 142], [0, 2, 0, 2], 11026048038983427999),
-    ("pace:600:12@3", "default", [13, 8, 579, 1], [2, 2, 2, 2], 7040571347490348049),
-    ("pace:600:12@3", "weighted", [6, 4, 590, 1], [2, 0, 0, 2], 392526347974188420),
-    ("pace:600:12@3", "crown", [0, 1, 599, 1], [0, 2, 0, 2], 15256707439399143489),
-    ("gnp:300:0.012@3", "default", [52, 58, 190, 1], [2, 2, 2, 2], 2143640359860613538),
-    ("gnp:300:0.012@3", "weighted", [20, 23, 257, 1], [2, 0, 0, 2], 1495307256410856817),
-    ("gnp:300:0.012@3", "crown", [5, 11, 284, 2], [0, 2, 0, 2], 16243809054745408586),
-    ("gnp:120:0.05@3", "default", [1, 3, 116, 1], [2, 2, 2, 2], 10175586514277496706),
-    ("gnp:120:0.05@3", "weighted", [0, 2, 118, 1], [2, 0, 0, 2], 10198966892600616957),
-    ("gnp:120:0.05@3", "crown", [0, 2, 118, 1], [0, 2, 0, 2], 18087884896581995827),
-    ("pace:600:12@11", "default", [5, 4, 591, 1], [2, 2, 2, 2], 11463141633191914885),
+    ("components:20000:1000:0.3@1", "default", [992, 725, 18283, 981], [2, 1, 1, 2], 1195114107662685247),
+    ("components:20000:1000:0.3@1", "weighted", [367, 290, 19343, 998], [1, 0, 0, 2], 17501586517385394370),
+    ("components:20000:1000:0.3@1", "crown", [2, 36, 19962, 1000], [0, 1, 0, 2], 16889091844851007390),
+    ("ba:20000:1@1", "default", [6006, 13994, 0, 0], [1, 1, 1, 2], 16334131823623672849),
+    ("ba:20000:1@1", "weighted", [4918, 11803, 3279, 677], [1, 0, 0, 2], 5205415821467101635),
+    ("ba:20000:1@1", "crown", [3152, 11140, 5708, 2305], [0, 1, 0, 2], 2601464502086185306),
+    ("powergrid:20000:3000@1", "default", [8536, 11464, 0, 0], [1, 1, 1, 2], 12961574698936616389),
+    ("powergrid:20000:3000@1", "weighted", [4953, 6664, 8383, 352], [1, 0, 0, 2], 17782554755982637842),
+    ("powergrid:20000:3000@1", "crown", [4650, 7578, 7772, 1250], [0, 1, 0, 2], 6475870254515595109),
+    ("components:20000:1000:0.3@7", "default", [972, 693, 18335, 980], [2, 1, 1, 2], 10010697557888724451),
+    ("components:20000:1000:0.3@7", "weighted", [314, 232, 19454, 1000], [1, 0, 0, 2], 770200488613589707),
+    ("components:20000:1000:0.3@7", "crown", [2, 19, 19979, 1000], [0, 1, 0, 2], 1020342484827397635),
+    ("ba:20000:1@7", "default", [5968, 14032, 0, 0], [1, 1, 1, 2], 4651607487366126529),
+    ("ba:20000:1@7", "weighted", [4881, 11760, 3359, 676], [1, 0, 0, 2], 12494505546279329577),
+    ("ba:20000:1@7", "crown", [3145, 11209, 5646, 2275], [0, 1, 0, 2], 15005897300981191509),
+    ("powergrid:20000:3000@7", "default", [8525, 11475, 0, 0], [1, 1, 1, 2], 12108935259289948341),
+    ("powergrid:20000:3000@7", "weighted", [4899, 6586, 8515, 372], [1, 0, 0, 2], 9846982945270714292),
+    ("powergrid:20000:3000@7", "crown", [4840, 7790, 7370, 1403], [0, 1, 0, 2], 1464325782304327264),
+    ("components:2000:100:0.3@1", "default", [120, 87, 1793, 98], [2, 1, 1, 2], 1884018478166407841),
+    ("components:2000:100:0.3@1", "weighted", [49, 35, 1916, 100], [1, 0, 0, 2], 9519636119204828076),
+    ("components:2000:100:0.3@1", "crown", [0, 3, 1997, 100], [0, 1, 0, 2], 3228013263740407996),
+    ("ba:2000:1@1", "default", [586, 1414, 0, 0], [1, 1, 1, 2], 12605556674295717625),
+    ("ba:2000:1@1", "weighted", [481, 1198, 321, 59], [1, 0, 0, 2], 3194248393506706263),
+    ("ba:2000:1@1", "crown", [306, 1134, 560, 223], [0, 1, 0, 2], 4711028644894945218),
+    ("powergrid:2000:300@1", "default", [852, 1148, 0, 0], [1, 1, 1, 2], 18190025408552795473),
+    ("powergrid:2000:300@1", "weighted", [476, 649, 875, 31], [1, 0, 0, 2], 9468599407538184481),
+    ("powergrid:2000:300@1", "crown", [481, 777, 742, 142], [0, 1, 0, 2], 13696023638675839555),
+    ("components:2000:100:0.3@7", "default", [73, 54, 1873, 98], [1, 1, 1, 2], 854075091927696907),
+    ("components:2000:100:0.3@7", "weighted", [28, 22, 1950, 100], [1, 0, 0, 2], 16698225371134063632),
+    ("components:2000:100:0.3@7", "crown", [0, 2, 1998, 100], [0, 1, 0, 2], 8211959301426670994),
+    ("ba:2000:1@7", "default", [599, 1401, 0, 0], [1, 1, 1, 2], 12349737333178373697),
+    ("ba:2000:1@7", "weighted", [494, 1164, 342, 51], [1, 0, 0, 2], 11998883385852326357),
+    ("ba:2000:1@7", "crown", [296, 1098, 606, 234], [0, 1, 0, 2], 4362793364152184683),
+    ("powergrid:2000:300@7", "default", [852, 1148, 0, 0], [1, 1, 1, 2], 13515685578500486909),
+    ("powergrid:2000:300@7", "weighted", [474, 648, 878, 30], [1, 0, 0, 2], 10747613632232630505),
+    ("powergrid:2000:300@7", "crown", [432, 728, 840, 142], [0, 1, 0, 2], 11026048038983427999),
+    ("pace:600:12@3", "default", [13, 8, 579, 1], [1, 1, 1, 2], 7040571347490348049),
+    ("pace:600:12@3", "weighted", [6, 4, 590, 1], [1, 0, 0, 2], 392526347974188420),
+    ("pace:600:12@3", "crown", [0, 1, 599, 1], [0, 1, 0, 2], 15256707439399143489),
+    ("gnp:300:0.012@3", "default", [52, 58, 190, 1], [1, 1, 1, 2], 2143640359860613538),
+    ("gnp:300:0.012@3", "weighted", [20, 23, 257, 1], [1, 0, 0, 2], 1495307256410856817),
+    ("gnp:300:0.012@3", "crown", [5, 11, 284, 2], [0, 1, 0, 2], 16243809054745408586),
+    ("gnp:120:0.05@3", "default", [1, 3, 116, 1], [1, 1, 1, 2], 10175586514277496706),
+    ("gnp:120:0.05@3", "weighted", [0, 2, 118, 1], [1, 0, 0, 2], 10198966892600616957),
+    ("gnp:120:0.05@3", "crown", [0, 2, 118, 1], [0, 1, 0, 2], 18087884896581995827),
+    ("pace:600:12@11", "default", [5, 4, 591, 1], [1, 1, 1, 2], 11463141633191914885),
     ("pace:600:12@11", "weighted", [0, 0, 600, 1], [1, 0, 0, 1], 1673782440529825483),
     ("pace:600:12@11", "crown", [0, 0, 600, 1], [0, 1, 0, 1], 9029194457089472090),
-    ("gnp:300:0.012@11", "default", [35, 45, 220, 1], [2, 2, 2, 2], 5014349129191338094),
-    ("gnp:300:0.012@11", "weighted", [23, 32, 245, 1], [2, 0, 0, 2], 6194902056474875482),
-    ("gnp:300:0.012@11", "crown", [6, 17, 277, 1], [0, 2, 0, 2], 13090177300962535650),
-    ("gnp:120:0.05@11", "default", [1, 1, 118, 1], [2, 2, 2, 2], 7561397982962403292),
-    ("gnp:120:0.05@11", "weighted", [1, 1, 118, 1], [2, 0, 0, 2], 3854206879887943886),
+    ("gnp:300:0.012@11", "default", [35, 45, 220, 1], [1, 1, 1, 2], 5014349129191338094),
+    ("gnp:300:0.012@11", "weighted", [23, 32, 245, 1], [1, 0, 0, 2], 6194902056474875482),
+    ("gnp:300:0.012@11", "crown", [6, 17, 277, 1], [0, 1, 0, 2], 13090177300962535650),
+    ("gnp:120:0.05@11", "default", [1, 1, 118, 1], [1, 1, 1, 2], 7561397982962403292),
+    ("gnp:120:0.05@11", "weighted", [1, 1, 118, 1], [1, 0, 0, 2], 3854206879887943886),
     ("gnp:120:0.05@11", "crown", [0, 0, 120, 1], [0, 1, 0, 1], 11308835032625412594),
 ];
 
