@@ -250,7 +250,7 @@ impl SchedulePolicy for CompStealPolicy<'_> {
                             kernel.sink,
                             "steal",
                             "steal",
-                            counters.block_id + 1,
+                            kernel.track,
                             victim as u64,
                         );
                         kernel.sink.counter("steal.steals", 1);

@@ -223,6 +223,11 @@ pub struct EngineObs<'a> {
     /// ([`BlockCounters::enable_tracing`]) even on inline single-block
     /// runs, where no [`LaunchConfig`] carries the flag.
     pub model_trace: bool,
+    /// The wall-lane track an inline single-block run records its
+    /// spans on. 1, block 0's track, unless the caller runs several
+    /// inline searches at once and gives each its own. A launch
+    /// records block `b` on track `b + 1` regardless.
+    pub track: u32,
 }
 
 impl EngineObs<'static> {
@@ -231,6 +236,7 @@ impl EngineObs<'static> {
         sink: &parvc_obs::NOOP,
         progress: None,
         model_trace: false,
+        track: 1,
     };
 }
 
@@ -286,7 +292,7 @@ pub fn drive_block(
         if let Some(hb) = kernel.progress {
             hb.tick(&bound);
         }
-        let track = counters.block_id + 1;
+        let track = kernel.track;
         let t_reduce = parvc_obs::SpanTimer::start(kernel.sink);
         kernel.reduce(&mut node, bound.bound(), &mut scratch, counters);
         t_reduce.finish(kernel.sink, "engine", "reduce", track, node.len() as u64);
@@ -528,7 +534,7 @@ impl Engine<'_> {
                 // reference — zero extra hops on the default path.
                 let oexec;
                 let exec: &dyn ParallelExecutor = if obs.sink.enabled() {
-                    oexec = ObservedExec::new(self.exec, obs.sink, 1);
+                    oexec = ObservedExec::new(self.exec, obs.sink, obs.track);
                     &oexec
                 } else {
                     self.exec
@@ -538,6 +544,7 @@ impl Engine<'_> {
                     exec,
                     sink: obs.sink,
                     progress: obs.progress,
+                    track: obs.track,
                     ..Kernel::sequential(self.graph, self.cost)
                 };
                 let ctx = BlockCtx {
@@ -552,7 +559,13 @@ impl Engine<'_> {
                 let mut policy = factory.block_policy(ctx, depth_bound);
                 let t_block = parvc_obs::SpanTimer::start(obs.sink);
                 drive_block(&kernel, bound, policy.as_mut(), &mut counters);
-                t_block.finish(obs.sink, "engine", "block", 1, counters.tree_nodes_visited);
+                t_block.finish(
+                    obs.sink,
+                    "engine",
+                    "block",
+                    obs.track,
+                    counters.tree_nodes_visited,
+                );
                 obs.sink
                     .counter("engine.nodes", counters.tree_nodes_visited);
                 vec![counters]
@@ -574,6 +587,7 @@ impl Engine<'_> {
                     exec,
                     sink: obs.sink,
                     progress: obs.progress,
+                    track: ctx.block_id + 1,
                 };
                 let mut policy = factory.block_policy(ctx, depth_bound);
                 let t_block = parvc_obs::SpanTimer::start(obs.sink);

@@ -39,6 +39,10 @@ pub struct Kernel<'a> {
     /// Wall-clock progress heartbeat, ticked once per tree node
     /// (`None` = off).
     pub progress: Option<&'a crate::progress::Heartbeat>,
+    /// The wall-lane telemetry track this block's spans record on:
+    /// `b + 1` for block `b` of a launch, and the caller's choice for
+    /// an inline search (1 by default).
+    pub track: u32,
 }
 
 impl<'a> Kernel<'a> {
@@ -56,6 +60,7 @@ impl<'a> Kernel<'a> {
             exec: &SERIAL,
             sink: &parvc_obs::NOOP,
             progress: None,
+            track: 1,
         }
     }
 

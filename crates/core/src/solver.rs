@@ -10,7 +10,8 @@
 //! assert_eq!(result.size, 6);
 //! ```
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use parvc_graph::CsrGraph;
@@ -18,6 +19,7 @@ use parvc_prep::PrepConfig;
 use parvc_simgpu::counters::{BlockCounters, LaunchReport};
 use parvc_simgpu::exec::{ExecutorSpec, ParallelExecutor};
 use parvc_simgpu::occupancy::{select_launch, LaunchRequest};
+use parvc_simgpu::runtime::run_resident;
 use parvc_simgpu::{CostModel, DeviceSpec, KernelVariant, LaunchConfig};
 
 use crate::compsteal::CompStealFactory;
@@ -33,11 +35,14 @@ use crate::split::SplitParams;
 use crate::stackonly::{StackOnlyFactory, StackOnlyParams};
 use crate::stats::{MvcResult, PvcResult, SolveStats};
 
-/// Kernel components smaller than this run inline on the calling
-/// thread (single block, same scheduling policy): launching a resident
-/// grid per 20-vertex component (a thread handoff per block) would
-/// cost more than the whole sub-search. Every component of a solve
-/// shares one worklist ring either way (see `run_engine`).
+/// Kernel components smaller than this are searched inline, one
+/// single-block search per component under the same scheduling policy:
+/// launching a resident grid per 20-vertex component (a thread handoff
+/// per block) would cost more than the whole sub-search. The component
+/// pool (see `Solver::run_pool`) spreads these inline searches over
+/// the resident blocks instead; each pool block keeps one worklist
+/// ring for all of its components, and the larger components' launches
+/// reuse block 0's (see `run_engine`).
 const PREP_INLINE_BELOW: u32 = 64;
 
 /// Which scheduling policy drives the engine — the three code versions
@@ -564,15 +569,20 @@ impl Solver {
     /// The one solve driver. With prep on, `g` is kernelized and each
     /// kernel component gets its own engine search; with prep off, `g`
     /// itself is the only component. Every search runs under the
-    /// solve's one deadline (and, under Hybrid and Batched, on its one
-    /// worklist ring), and the sub-covers are lifted back to `g`.
+    /// solve's one deadline, and the sub-covers are lifted back to `g`.
     ///
     /// * Only an MVC goal on a weighted solver minimizes weight, and
     ///   it forces [`PrepConfig::weighted`]: PVC counts vertices.
     /// * The `warm` incumbent seeds only a prep-off search, because
     ///   prep relabels the instance.
-    /// * Kernel components below [`PREP_INLINE_BELOW`] vertices run
-    ///   inline; `g` itself always gets its grid launch.
+    /// * Kernel components below [`PREP_INLINE_BELOW`] vertices are
+    ///   searched inline by the component pool (see `run_pool`); every
+    ///   other component, `g` itself included, gets its grid launch
+    ///   from the calling thread.
+    /// * Each component's results land in its own [`Slot`] and are
+    ///   aggregated in component order, so the cover, the block
+    ///   counters and `greedy_size` do not depend on which pool block
+    ///   searched what.
     /// * PVC: more than `k` forced vertices is a conclusive *no*. One
     ///   component (`g` itself, or a one-component kernel) runs the PVC
     ///   search on the budget the forced vertices leave, stopping at
@@ -615,57 +625,49 @@ impl Solver {
             Some(kernel) => (kernel.components.iter().map(|c| &c.graph).collect(), None),
             None => (vec![g], warm),
         };
-        let one_component = components.len() == 1;
+        let search = ComponentSearch {
+            weighted,
+            pvc_k: match goal {
+                Goal::Pvc { k } if components.len() == 1 => Some(k - forced),
+                _ => None,
+            },
+            warm,
+            deadline: &deadline,
+            obs,
+        };
 
+        let mut slots: Vec<Mutex<Slot>> = components
+            .iter()
+            .map(|c| Mutex::new(Slot::new(c)))
+            .collect();
+        let pooled = |c: &CsrGraph| kernel.is_some() && c.num_vertices() < PREP_INLINE_BELOW;
         let mut ring = None;
-        let mut sub_covers = Vec::with_capacity(components.len());
-        for (idx, comp) in components.into_iter().enumerate() {
+        let mut pool = Vec::new();
+        for (idx, (comp, slot)) in components.iter().zip(&mut slots).enumerate() {
             if comp.num_edges() == 0 {
-                sub_covers.push(Some(Vec::new()));
                 continue;
             }
-            let t_comp = SpanTimer::start(obs.sink);
-            obs.sink.counter("component.sub_searches", 1);
-            // The component graphs carry the original's vertex weights
-            // through the prep relabeling, so a weighted sub-search
-            // minimizes exactly the lifted objective.
-            let mode = match goal {
-                Goal::Pvc { k } if one_component => SearchMode::Pvc { k: k - forced },
-                _ if weighted => {
-                    let mut seed = self.seed_weighted(comp, &deadline);
-                    agg.greedy_size += seed.1.len() as u32;
-                    if let Some(w) = warm {
-                        let w_weight = comp.cover_weight(w);
-                        if w_weight < seed.0 {
-                            seed = (w_weight, w.to_vec());
-                        }
-                    }
-                    SearchMode::WeightedMvc { initial: seed }
-                }
-                _ => {
-                    let mut seed = self.seed_unweighted(comp, &deadline);
-                    agg.greedy_size += seed.0;
-                    if let Some(w) = warm {
-                        if (w.len() as u32) < seed.0 {
-                            seed = (w.len() as u32, w.to_vec());
-                        }
-                    }
-                    SearchMode::Mvc { initial: seed }
-                }
-            };
-            let inline = kernel.is_some() && comp.num_vertices() < PREP_INLINE_BELOW;
-            let (outcome, launch) = self.run_engine(comp, mode, &deadline, inline, &mut ring, obs);
-            let (cover, blocks) = outcome.into_parts();
-            if agg.blocks.is_empty() {
-                agg.blocks = blocks;
+            if pooled(comp) {
+                pool.push(idx);
             } else {
-                agg.blocks.extend(blocks);
+                let slot = slot.get_mut().expect("no block holds a slot");
+                self.search_component(&search, idx, comp, None, &mut ring, slot);
             }
-            agg.launch = agg.launch.or(launch);
-            sub_covers.push(cover);
-            t_comp.finish(obs.sink, "component", "sub-search", 0, idx as u64);
+        }
+        if !pool.is_empty() {
+            // Largest first, so the last components to start are short.
+            pool.sort_by_key(|&idx| std::cmp::Reverse(components[idx].num_vertices()));
+            self.run_pool(&search, &components, &pool, &slots, ring);
         }
 
+        let mut sub_covers = Vec::with_capacity(components.len());
+        for slot in slots {
+            let slot = slot.into_inner().expect("no block holds a slot");
+            agg.greedy_size += slot.greedy_size;
+            agg.blocks.extend(slot.blocks);
+            agg.launch = agg.launch.or(slot.launch);
+            sub_covers.push(slot.found.then_some(slot.cover));
+        }
         let sub_covers: Option<Vec<Vec<u32>>> = sub_covers.into_iter().collect();
         let cover = match &kernel {
             Some(kernel) => sub_covers.map(|subs| kernel.lift(&subs)),
@@ -678,6 +680,111 @@ impl Solver {
         };
         let prep = kernel.map(|k| k.stats);
         (cover, self.stats(start, agg, &deadline, prep))
+    }
+
+    /// The component pool: searches the inline components `order`
+    /// (largest first) on resident blocks that each take the next
+    /// component from one shared cursor. Block 0 is the calling thread
+    /// and blocks 1.. are its parked helpers, like the blocks of a grid
+    /// launch, but the pool is not a grid launch: each component is
+    /// one single-block search whose counters keep block id 0, and
+    /// nothing of the pool shows in [`SolveStats::launch`].
+    ///
+    /// The width is the grid this solver would launch for the largest
+    /// component, capped by the host's parallelism and the number of
+    /// components; Sequential runs one block, on the calling thread.
+    /// Each Hybrid/Batched block owns one worklist ring, built here on
+    /// the calling thread (block 0 keeps `ring`, the one the launched
+    /// components used) and reset for every component it searches.
+    fn run_pool(
+        &self,
+        search: &ComponentSearch<'_>,
+        components: &[&CsrGraph],
+        order: &[usize],
+        slots: &[Mutex<Slot>],
+        ring: Option<HybridFactory>,
+    ) {
+        let largest = components[order[0]];
+        let width = match self.cfg.algorithm {
+            Algorithm::Sequential => 1,
+            _ => self
+                .try_plan_launch(largest, largest.num_vertices() + 2)
+                .map_or(1, |l| l.grid_blocks),
+        };
+        let width = if width > 1 {
+            let host = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
+            width.min(host).min(order.len() as u32)
+        } else {
+            width
+        };
+        let rings: Vec<Mutex<Option<HybridFactory>>> = std::iter::once(ring)
+            .chain((1..width).map(|_| self.new_ring()))
+            .map(Mutex::new)
+            .collect();
+        let cursor = AtomicUsize::new(0);
+        run_resident(width, |b| {
+            let mut ring = rings[b as usize].lock().expect("one block per ring");
+            while let Some(&idx) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let mut slot = slots[idx].lock().expect("one block per slot");
+                self.search_component(search, idx, components[idx], Some(b), &mut ring, &mut slot);
+            }
+        });
+    }
+
+    /// Searches component `idx` into its slot: seeds it for the goal,
+    /// runs the engine, and copies the cover into the slot's buffer.
+    /// `pool_block` is the pool block running an inline search (its
+    /// spans go on that block's track), or `None` for a component that
+    /// gets its own launch from the calling thread (its `component`
+    /// span goes on track 0).
+    fn search_component(
+        &self,
+        search: &ComponentSearch<'_>,
+        idx: usize,
+        comp: &CsrGraph,
+        pool_block: Option<u32>,
+        ring: &mut Option<HybridFactory>,
+        slot: &mut Slot,
+    ) {
+        let sink = search.obs.sink;
+        let t_comp = SpanTimer::start(sink);
+        sink.counter("component.sub_searches", 1);
+        // The component graphs carry the original's vertex weights
+        // through the prep relabeling, so a weighted sub-search
+        // minimizes exactly the lifted objective.
+        let mode = match search.pvc_k {
+            Some(k) => SearchMode::Pvc { k },
+            None if search.weighted => {
+                let mut seed = self.seed_weighted(comp, search.deadline);
+                slot.greedy_size = seed.1.len() as u32;
+                if let Some(w) = search.warm {
+                    let w_weight = comp.cover_weight(w);
+                    if w_weight < seed.0 {
+                        seed = (w_weight, w.to_vec());
+                    }
+                }
+                SearchMode::WeightedMvc { initial: seed }
+            }
+            None => {
+                let mut seed = self.seed_unweighted(comp, search.deadline);
+                slot.greedy_size = seed.0;
+                if let Some(w) = search.warm {
+                    if (w.len() as u32) < seed.0 {
+                        seed = (w.len() as u32, w.to_vec());
+                    }
+                }
+                SearchMode::Mvc { initial: seed }
+            }
+        };
+        let (outcome, launch) =
+            self.run_engine(comp, mode, search.deadline, pool_block, ring, search.obs);
+        let (cover, blocks) = outcome.into_parts();
+        slot.found = cover.is_some();
+        slot.cover.extend(cover.into_iter().flatten());
+        slot.blocks.extend(blocks);
+        slot.launch = launch;
+        let track = pool_block.map_or(0, |b| b + 1);
+        t_comp.finish(sink, "component", "sub-search", track, idx as u64);
     }
 
     /// The launch seed under the configured
@@ -727,25 +834,25 @@ impl Solver {
 
     /// The one parameterized dispatch: builds the policy factory for
     /// the configured [`Algorithm`] and hands `mode` to the engine.
-    /// `inline` forces single-block execution on the calling thread
-    /// (used for small kernel components); Sequential always runs
-    /// inline. Hybrid and Batched build their worklist ring into
-    /// `ring` on a solve's first search and reset it for every later
-    /// one, so a solve allocates one ring however many components it
-    /// searches.
+    /// `pool_block` forces single-block execution on the calling thread
+    /// for a component pool block, with its spans on the block's track
+    /// `b + 1`; Sequential always runs inline. Hybrid and Batched build
+    /// their worklist ring into `ring` on its first search and reset it
+    /// for every later one, so a solve allocates one ring per pool
+    /// block however many components it searches.
     fn run_engine(
         &self,
         g: &CsrGraph,
         mode: SearchMode,
         deadline: &Deadline,
-        inline: bool,
+        pool_block: Option<u32>,
         ring: &mut Option<HybridFactory>,
         obs: SolveObs<'_>,
     ) -> (SearchOutcome, Option<LaunchConfig>) {
         let depth_bound = mode.depth_bound(g);
         let launch = match self.cfg.algorithm {
             Algorithm::Sequential => None,
-            _ if inline => None,
+            _ if pool_block.is_some() => None,
             // §III-C: when the per-block state cannot fit the device's
             // memory, a resident grid cannot be planned — degrade to
             // single-block inline execution instead of failing the
@@ -768,12 +875,10 @@ impl Solver {
         let owned: Box<dyn PolicyFactory>;
         let factory: &dyn PolicyFactory = match self.cfg.algorithm {
             Algorithm::Hybrid | Algorithm::Batched => {
-                let batch = if self.cfg.algorithm == Algorithm::Batched {
-                    DEFAULT_BATCH
-                } else {
-                    1
-                };
-                let ring = ring.get_or_insert_with(|| HybridFactory::new(&self.cfg.hybrid, batch));
+                if ring.is_none() {
+                    *ring = self.new_ring();
+                }
+                let ring = ring.as_mut().expect("Hybrid and Batched build a ring");
                 ring.reset();
                 ring
             }
@@ -807,10 +912,22 @@ impl Solver {
                 sink: obs.sink,
                 progress: obs.progress,
                 model_trace: self.cfg.record_trace,
+                track: pool_block.map_or(1, |b| b + 1),
             },
         };
         let outcome = engine.solve(factory, mode);
         (outcome, launch)
+    }
+
+    /// A fresh worklist ring for Hybrid (a batch of 1) and Batched;
+    /// `None` for the policies that use none.
+    fn new_ring(&self) -> Option<HybridFactory> {
+        let batch = match self.cfg.algorithm {
+            Algorithm::Hybrid => 1,
+            Algorithm::Batched => DEFAULT_BATCH,
+            _ => return None,
+        };
+        Some(HybridFactory::new(&self.cfg.hybrid, batch))
     }
 
     /// The stats of a solve whose searches `agg` sums up. The report
@@ -900,13 +1017,63 @@ impl<'a> SolveObs<'a> {
 }
 
 /// What a solve's engine searches add up to: every block's counters in
-/// search order, the first grid launch, and the greedy-seed size
+/// component order, the first grid launch, and the greedy-seed size
 /// (forced vertices plus each searched component's seed).
 #[derive(Default)]
 struct ComponentAggregate {
     blocks: Vec<BlockCounters>,
     launch: Option<LaunchConfig>,
     greedy_size: u32,
+}
+
+/// What every component search of one solve shares.
+struct ComponentSearch<'a> {
+    /// Minimize weight (an MVC goal on a weighted solver).
+    weighted: bool,
+    /// The budget a one-component PVC solve has left after the forced
+    /// vertices: that component runs the PVC search. `None` solves
+    /// every component as MVC.
+    pvc_k: Option<u32>,
+    /// The warm incumbent (prep off only).
+    warm: Option<&'a [u32]>,
+    deadline: &'a Deadline,
+    obs: SolveObs<'a>,
+}
+
+/// One component's search results. The slot and its cover buffer are
+/// allocated by the calling thread before any search starts, and a pool
+/// block only fills them in: memory a helper thread allocates is freed
+/// before its component ends, instead of lingering in that thread's
+/// allocator arena.
+struct Slot {
+    /// The sub-cover, with capacity for every vertex of the component.
+    cover: Vec<u32>,
+    /// Whether the search found a cover (a PVC search may not; an
+    /// edgeless component needs none).
+    found: bool,
+    /// The search's block counters.
+    blocks: Vec<BlockCounters>,
+    /// The component's own grid launch, if it had one.
+    launch: Option<LaunchConfig>,
+    /// The size of the component's greedy seed.
+    greedy_size: u32,
+}
+
+impl Slot {
+    fn new(comp: &CsrGraph) -> Self {
+        let searched = comp.num_edges() > 0;
+        Slot {
+            cover: Vec::with_capacity(if searched {
+                comp.num_vertices() as usize
+            } else {
+                0
+            }),
+            found: true,
+            blocks: Vec::with_capacity(usize::from(searched)),
+            launch: None,
+            greedy_size: 0,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -213,7 +213,7 @@ fn component_labels(
             let rebuilds = conn.take_rebuilds();
             counters.splits.uf_rebuilds += rebuilds;
             if rebuilds > 0 && kernel.sink.enabled() {
-                parvc_simgpu::obs::rebuild_instant(kernel.sink, counters.block_id + 1, rebuilds);
+                parvc_simgpu::obs::rebuild_instant(kernel.sink, kernel.track, rebuilds);
             }
             let labels = if count >= 2 {
                 (0..node.len())
@@ -233,13 +233,7 @@ fn component_labels(
             .cost
             .parallel_op(work, kernel.block_size, kernel.variant),
     );
-    t_detect.finish(
-        kernel.sink,
-        "split",
-        "detect",
-        counters.block_id + 1,
-        count as u64,
-    );
+    t_detect.finish(kernel.sink, "split", "detect", kernel.track, count as u64);
     (count, labels)
 }
 
@@ -399,7 +393,7 @@ pub fn detect_components(
         kernel.sink,
         "split",
         "extract",
-        counters.block_id + 1,
+        kernel.track,
         comps.len() as u64,
     );
     if comps.len() < 2 {
@@ -472,7 +466,7 @@ pub(crate) fn solve_split(
         kernel.sink,
         "split",
         "solve",
-        counters.block_id + 1,
+        kernel.track,
         comps.len() as u64,
     );
     verdict

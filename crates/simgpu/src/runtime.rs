@@ -83,7 +83,7 @@ pub fn run_blocks<F>(device: &DeviceSpec, config: &LaunchConfig, body: F) -> Vec
 where
     F: Fn(BlockCtx, &mut BlockCounters) + Sync,
 {
-    let run = |block_id: u32| {
+    run_resident(config.grid_blocks, |block_id| {
         let ctx = BlockCtx {
             block_id,
             sm_id: device.sm_of_block(block_id),
@@ -95,18 +95,31 @@ where
         }
         body(ctx, &mut counters);
         counters
-    };
-    let n = config.grid_blocks;
+    })
+}
+
+/// Runs `body(b)` once for every block `b` in `0..n` on the resident
+/// block threads and returns the results in block-id order: block 0 on
+/// the calling thread, blocks `1..n` on its parked helpers. This is
+/// [`run_blocks`] without the grid's counters, for callers that spread
+/// their own work units over the blocks. A panicking block propagates
+/// like in [`run_blocks`].
+pub fn run_resident<T, F>(n: u32, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u32) -> T + Sync,
+{
     if n <= 1 {
-        return (0..n).map(run).collect();
+        return (0..n).map(body).collect();
     }
-    let mut rest: Vec<Option<BlockCounters>> = (1..n).map(|_| None).collect();
+    let body = &body;
+    let mut rest: Vec<Option<T>> = (1..n).map(|_| None).collect();
     let mut helpers = Helpers::take(n - 1);
     let first = helpers.pool().scoped(|scope| {
         for (block_id, slot) in (1..).zip(&mut rest) {
-            scope.execute(move || *slot = Some(run(block_id)));
+            scope.execute(move || *slot = Some(body(block_id)));
         }
-        run(0)
+        body(0)
     });
     let rest = rest.into_iter().map(|r| r.expect("every block ran"));
     std::iter::once(first).chain(rest).collect()

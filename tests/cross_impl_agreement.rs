@@ -346,3 +346,43 @@ fn worksteal_grid_sizes_agree() {
         assert_eq!(solver.solve_mvc(&g).size, expect, "grid {grid}");
     }
 }
+
+/// Many small kernel components at grid 8: the solver's component pool
+/// searches them on several blocks at once, under every multi-block
+/// policy. The optimum must match `seq`'s, and a solve whose deadline
+/// has already passed must still return a valid cover (each component
+/// falls back to its seed) and report the timeout instead of hanging.
+#[test]
+fn pooled_components_agree_and_time_out_cleanly() {
+    let policies = [
+        Algorithm::StackOnly { start_depth: 8 },
+        Algorithm::Hybrid,
+        Algorithm::WorkStealing,
+        Algorithm::Batched,
+        Algorithm::ComponentSteal,
+    ];
+    let prep = |a: Algorithm| {
+        Solver::builder()
+            .algorithm(a)
+            .grid_limit(Some(8))
+            .preprocess(PrepConfig::default())
+    };
+    for seed in [1u64, 2, 3, 4] {
+        let g = gen::sparse_components(3_000, 150, 0.3, seed);
+        let opt = prep(Algorithm::Sequential).build().solve_mvc(&g).size;
+        for algorithm in policies {
+            let r = prep(algorithm).build().solve_mvc(&g);
+            assert_eq!(r.size, opt, "{algorithm} seed {seed}");
+            assert!(is_vertex_cover(&g, &r.cover), "{algorithm} seed {seed}");
+        }
+    }
+    let g = gen::sparse_components(3_000, 150, 0.3, 1);
+    for algorithm in policies {
+        let r = prep(algorithm)
+            .deadline(Some(std::time::Duration::ZERO))
+            .build()
+            .solve_mvc(&g);
+        assert!(r.stats.timed_out, "{algorithm}: the deadline was not hit");
+        assert!(is_vertex_cover(&g, &r.cover), "{algorithm}: not a cover");
+    }
+}

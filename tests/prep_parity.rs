@@ -573,3 +573,89 @@ fn every_solve_path_matches_the_captured_digests() {
     }
     assert_rows("solve paths", &rows, PATHS);
 }
+
+/// One solve's answer and every stats field `stats` digests.
+fn solve_digest(cover: Option<&[u32]>, s: &SolveStats) -> u64 {
+    let mut d = Digest::new();
+    match cover {
+        Some(c) => d.list(c),
+        None => d.word(u64::MAX),
+    }
+    stats(&mut d, s);
+    d.0
+}
+
+/// The component pool against the serial loop. Every `massive(2_000)`
+/// instance is solved under the default and the crown-only pipeline,
+/// under each multi-block policy, as MVC, weighted MVC and PVC at
+/// opt − 1 and at opt, at `grid_limit` 1, 2 and 4. At grid 1 the pool
+/// is one block on the calling thread, which is the serial loop. A
+/// solve without a launch (`stats.launch` is `None`) searched every
+/// component in the pool, so its grid-2 and grid-4 digests must equal
+/// grid 1's; a solve with a launch only has to agree on the answer.
+#[test]
+fn the_component_pool_matches_the_serial_loop() {
+    // Left out: weighted MVC on the power-grid instances, and on the BA
+    // trees under the crown-only pipeline (crown is weight-unsound, so
+    // there it only splits). Those weighted searches run for minutes
+    // under every policy, on big components that are launched, not
+    // pooled.
+    let slow = |inst: &str, config: &str| {
+        inst.starts_with("powergrid") || (inst.starts_with("ba") && config == "crown")
+    };
+    let mut pooled = 0;
+    for (inst, g) in massive(2_000) {
+        let weighted_g = gen::with_uniform_weights(g.clone(), 10, 5);
+        for (config, cfg) in [&configs()[0], &configs()[2]] {
+            for policy in ["stack", "hybrid", "batch", "steal", "compsteal"] {
+                let mut first: Option<Vec<(u64, u64)>> = None;
+                for grid in [1, 2, 4] {
+                    let ctx = format!("{inst}/{config}/{policy}/grid {grid}");
+                    let builder = Solver::builder()
+                        .algorithm(Algorithm::parse(policy).unwrap())
+                        .grid_limit(Some(grid))
+                        .preprocess(cfg.clone());
+                    let solver = builder.clone().build();
+                    let opt = solver.solve_mvc(&g);
+                    let mut cells = vec![(
+                        opt.stats.launch.is_none(),
+                        u64::from(opt.size),
+                        solve_digest(Some(&opt.cover), &opt.stats),
+                    )];
+                    if !slow(&inst, config) {
+                        let w = builder.weighted().build().solve_mvc(&weighted_g);
+                        cells.push((
+                            w.stats.launch.is_none(),
+                            w.weight,
+                            solve_digest(Some(&w.cover), &w.stats),
+                        ));
+                    }
+                    for k in [opt.size - 1, opt.size] {
+                        let p = solver.solve_pvc(&g, k);
+                        assert_eq!(p.found(), k == opt.size, "{ctx} k = {k}");
+                        cells.push((
+                            p.stats.launch.is_none(),
+                            u64::from(p.found()),
+                            solve_digest(p.cover.as_deref(), &p.stats),
+                        ));
+                    }
+                    let answers: Vec<(u64, u64)> = cells.iter().map(|&(_, a, d)| (a, d)).collect();
+                    let Some(first) = &first else {
+                        first = Some(answers);
+                        continue;
+                    };
+                    for (mode, (&(all_pooled, answer, digest), want)) in
+                        cells.iter().zip(first).enumerate()
+                    {
+                        assert_eq!(answer, want.0, "{ctx} mode {mode}: answer");
+                        if all_pooled {
+                            assert_eq!(digest, want.1, "{ctx} mode {mode}: digest");
+                            pooled += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(pooled > 0, "no solve went through the pool alone");
+}

@@ -11,10 +11,17 @@
 //! solve **bit for bit** — same cover, same tree shape, same
 //! per-block `BlockCounters` and `SplitCounters` — across every
 //! policy, with and without preprocessing, under both executors.
+//!
+//! The one multi-block arm solves a kernel of tiny components at
+//! grid 2, where the solver's component pool searches components on
+//! two threads at once. Each component search is a single block, so
+//! the counters stay deterministic, and the spans of concurrent
+//! searches must land on their own blocks' tracks.
 
 use parvc::core::{Algorithm, ExecutorSpec, MvcResult, Solver, SolverBuilder, TelemetryConfig};
 use parvc::graph::gen;
 use parvc::graph::CsrGraph;
+use parvc::obs::{Lane, SpanRecord};
 use parvc::prep::PrepConfig;
 use parvc::simgpu::counters::{Activity, BlockCounters, SplitCounters};
 
@@ -191,4 +198,80 @@ fn dispatch_spans_follow_the_executor() {
         None,
         "serial flat passes must not cross the dispatch seam"
     );
+}
+
+/// Asserts that the wall-lane spans of each track nest: any two are
+/// disjoint or one contains the other. Spans of concurrent searches on
+/// one track would overlap without nesting.
+fn assert_tracks_nest(spans: &[SpanRecord], ctx: &str) {
+    let mut wall: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.lane == Lane::Wall && !s.instant)
+        .collect();
+    wall.sort_by_key(|s| {
+        (
+            s.track,
+            s.start_us,
+            std::cmp::Reverse(s.start_us + s.dur_us),
+        )
+    });
+    let mut open: Vec<&SpanRecord> = Vec::new();
+    for s in wall {
+        let end = s.start_us + s.dur_us;
+        while let Some(top) = open.last() {
+            if top.track != s.track || top.start_us + top.dur_us <= s.start_us {
+                open.pop();
+            } else {
+                break;
+            }
+        }
+        if let Some(top) = open.last() {
+            assert!(
+                end <= top.start_us + top.dur_us,
+                "{ctx}: {}/{} overlaps {}/{} on track {}",
+                s.cat,
+                s.name,
+                top.cat,
+                top.name,
+                s.track
+            );
+        }
+        open.push(s);
+    }
+}
+
+/// Grid 2 with prep on: the kernel's many tiny components go to the
+/// component pool, whose two blocks search them concurrently. A full
+/// recording sink must still leave every counter as the telemetry-off
+/// solve has it, record one `component`/`sub-search` span per counted
+/// sub-search, and keep each block's spans on its own track.
+#[test]
+fn pooled_component_spans_stay_on_their_blocks_tracks() {
+    let g = gen::sparse_components(1_200, 60, 0.3, 5);
+    for (pname, algorithm) in policies() {
+        let builder = Solver::builder()
+            .algorithm(algorithm)
+            .grid_limit(Some(2))
+            .preprocess(PrepConfig::default());
+        let off = builder.clone().build().solve_mvc(&g);
+        let on = builder
+            .telemetry(TelemetryConfig::default())
+            .build()
+            .solve_mvc(&g);
+        assert!(on.stats.launch.is_none(), "{pname}: a component launched");
+        assert_eq!(fingerprint(&off), fingerprint(&on), "{pname}");
+        let snap = on.stats.telemetry.as_ref().expect("telemetry was on");
+        let sub_searches = snap
+            .spans
+            .iter()
+            .filter(|s| s.cat == "component" && s.name == "sub-search")
+            .count() as u64;
+        assert!(sub_searches > 1, "{pname}: {sub_searches} sub-searches");
+        assert_eq!(
+            snap.counters.get("component.sub_searches").copied(),
+            Some(sub_searches),
+            "{pname}"
+        );
+        assert_tracks_nest(&snap.spans, pname);
+    }
 }
