@@ -705,17 +705,18 @@ impl Solver {
         ring: Option<HybridFactory>,
     ) {
         let largest = components[order[0]];
-        let width = match self.cfg.algorithm {
+        let grid = match self.cfg.algorithm {
             Algorithm::Sequential => 1,
             _ => self
                 .try_plan_launch(largest, largest.num_vertices() + 2)
                 .map_or(1, |l| l.grid_blocks),
         };
-        let width = if width > 1 {
-            let host = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
-            width.min(host).min(order.len() as u32)
-        } else {
-            width
+        let width = match grid {
+            1 => 1,
+            _ => {
+                let host = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
+                grid.min(host).min(order.len() as u32)
+            }
         };
         let rings: Vec<Mutex<Option<HybridFactory>>> = std::iter::once(ring)
             .chain((1..width).map(|_| self.new_ring()))
@@ -1061,15 +1062,10 @@ struct Slot {
 
 impl Slot {
     fn new(comp: &CsrGraph) -> Self {
-        let searched = comp.num_edges() > 0;
         Slot {
-            cover: Vec::with_capacity(if searched {
-                comp.num_vertices() as usize
-            } else {
-                0
-            }),
+            cover: Vec::with_capacity(comp.num_vertices() as usize),
             found: true,
-            blocks: Vec::with_capacity(usize::from(searched)),
+            blocks: Vec::with_capacity(1),
             launch: None,
             greedy_size: 0,
         }
