@@ -636,10 +636,7 @@ impl Solver {
             obs,
         };
 
-        let mut slots: Vec<Mutex<Slot>> = components
-            .iter()
-            .map(|c| Mutex::new(Slot::new(c)))
-            .collect();
+        let mut slots: Vec<Mutex<Slot>> = components.iter().map(|_| Mutex::default()).collect();
         let pooled = |c: &CsrGraph| kernel.is_some() && c.num_vertices() < PREP_INLINE_BELOW;
         let mut ring = None;
         let mut pool = Vec::new();
@@ -657,14 +654,20 @@ impl Solver {
         if !pool.is_empty() {
             // Largest first, so the last components to start are short.
             pool.sort_by_key(|&idx| std::cmp::Reverse(components[idx].num_vertices()));
-            self.run_pool(&search, &components, &pool, &slots, ring);
+            self.run_pool(&search, &components, &pool, &mut slots, ring);
         }
 
         let mut sub_covers = Vec::with_capacity(components.len());
         for slot in slots {
             let slot = slot.into_inner().expect("no block holds a slot");
             agg.greedy_size += slot.greedy_size;
-            agg.blocks.extend(slot.blocks);
+            // Moved, not extended: extending an empty vector leaves a
+            // capacity of at least 4, and callers keep many reports.
+            if agg.blocks.is_empty() {
+                agg.blocks = slot.blocks;
+            } else {
+                agg.blocks.extend(slot.blocks);
+            }
             agg.launch = agg.launch.or(slot.launch);
             sub_covers.push(slot.found.then_some(slot.cover));
         }
@@ -695,13 +698,14 @@ impl Solver {
     /// components; Sequential runs one block, on the calling thread.
     /// Each Hybrid/Batched block owns one worklist ring, built here on
     /// the calling thread (block 0 keeps `ring`, the one the launched
-    /// components used) and reset for every component it searches.
+    /// components used) and reset for every component it searches. The
+    /// components' output buffers are reserved here too (see [`Slot`]).
     fn run_pool(
         &self,
         search: &ComponentSearch<'_>,
         components: &[&CsrGraph],
         order: &[usize],
-        slots: &[Mutex<Slot>],
+        slots: &mut [Mutex<Slot>],
         ring: Option<HybridFactory>,
     ) {
         let largest = components[order[0]];
@@ -722,6 +726,15 @@ impl Solver {
             .chain((1..width).map(|_| self.new_ring()))
             .map(Mutex::new)
             .collect();
+        for &idx in order {
+            let slot = slots[idx].get_mut().expect("no block holds a slot");
+            slot.cover
+                .reserve_exact(components[idx].num_vertices() as usize);
+            slot.blocks.reserve_exact(1);
+        }
+        let slots = &*slots;
+        // The cursor only hands out indices: the slots and rings carry
+        // their own locks, so it publishes no data.
         let cursor = AtomicUsize::new(0);
         run_resident(width, |b| {
             let mut ring = rings[b as usize].lock().expect("one block per ring");
@@ -732,12 +745,13 @@ impl Solver {
         });
     }
 
-    /// Searches component `idx` into its slot: seeds it for the goal,
-    /// runs the engine, and copies the cover into the slot's buffer.
-    /// `pool_block` is the pool block running an inline search (its
-    /// spans go on that block's track), or `None` for a component that
-    /// gets its own launch from the calling thread (its `component`
-    /// span goes on track 0).
+    /// Searches component `idx` into its slot: seeds it for the goal
+    /// and runs the engine. `pool_block` is the pool block running an
+    /// inline search, which copies its results into the slot's reserved
+    /// buffers and records its spans on that block's track. `None` is
+    /// a component that gets its own launch from the calling thread: it
+    /// hands its cover and counters over, and its `component` span goes
+    /// on track 0.
     fn search_component(
         &self,
         search: &ComponentSearch<'_>,
@@ -781,8 +795,16 @@ impl Solver {
             self.run_engine(comp, mode, search.deadline, pool_block, ring, search.obs);
         let (cover, blocks) = outcome.into_parts();
         slot.found = cover.is_some();
-        slot.cover.extend(cover.into_iter().flatten());
-        slot.blocks.extend(blocks);
+        match pool_block {
+            Some(_) => {
+                slot.cover.extend(cover.into_iter().flatten());
+                slot.blocks.extend(blocks);
+            }
+            None => {
+                slot.cover = cover.unwrap_or_default();
+                slot.blocks = blocks;
+            }
+        }
         slot.launch = launch;
         let track = pool_block.map_or(0, |b| b + 1);
         t_comp.finish(sink, "component", "sub-search", track, idx as u64);
@@ -1041,13 +1063,15 @@ struct ComponentSearch<'a> {
     obs: SolveObs<'a>,
 }
 
-/// One component's search results. The slot and its cover buffer are
-/// allocated by the calling thread before any search starts, and a pool
-/// block only fills them in: memory a helper thread allocates is freed
-/// before its component ends, instead of lingering in that thread's
-/// allocator arena.
+/// One component's search results. A pooled component's cover buffer
+/// (capacity: its vertex count) and counters vector are reserved by the
+/// calling thread before the pool starts, and a pool block only fills
+/// them in: memory a helper thread allocates is freed before its
+/// component ends, instead of lingering in that thread's allocator
+/// arena. A launched component, searched on the calling thread, hands
+/// its own vectors over.
 struct Slot {
-    /// The sub-cover, with capacity for every vertex of the component.
+    /// The sub-cover.
     cover: Vec<u32>,
     /// Whether the search found a cover (a PVC search may not; an
     /// edgeless component needs none).
@@ -1060,12 +1084,12 @@ struct Slot {
     greedy_size: u32,
 }
 
-impl Slot {
-    fn new(comp: &CsrGraph) -> Self {
+impl Default for Slot {
+    fn default() -> Self {
         Slot {
-            cover: Vec::with_capacity(comp.num_vertices() as usize),
+            cover: Vec::new(),
             found: true,
-            blocks: Vec::with_capacity(1),
+            blocks: Vec::new(),
             launch: None,
             greedy_size: 0,
         }
