@@ -26,6 +26,9 @@
 //!   the `SolveStats` fields no other parity digest does:
 //!   `greedy_size`, the launch's grid and block size, `timed_out` and
 //!   whether prep stats are present.
+//! * **The component pool.** A prep-on solve whose kernel components
+//!   all went through the component pool must digest the same at
+//!   grid 2 and 4 as at grid 1, where the pool is the serial loop.
 //!
 //! The kernel and solve corpus is the `massive-prep` benchmark's three
 //! families at 20,000 and 2,000 vertices plus `pace_like` and `gnp`
