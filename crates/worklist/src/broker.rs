@@ -23,9 +23,12 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
-/// One ring slot. `seq` encodes the rendezvous state:
-/// `== ticket` → free for the producer holding `ticket`;
-/// `== ticket + 1` → filled, awaiting the consumer holding `ticket`.
+/// One ring slot. `seq` encodes the rendezvous state relative to the
+/// lap of a ticket that maps to this slot (the ticket with its index
+/// bits cleared): `== lap` → free for the producer holding the ticket;
+/// `== lap + 1` → filled, awaiting the consumer holding the ticket.
+/// Slot `i` starts free for ticket `i`, whose lap is 0, so a ring of
+/// all-zero bytes is an empty queue.
 struct Slot<T> {
     seq: AtomicUsize,
     value: UnsafeCell<MaybeUninit<T>>,
@@ -66,14 +69,16 @@ unsafe impl<T: Send> Send for BrokerQueue<T> {}
 impl<T> BrokerQueue<T> {
     /// Creates a queue holding at most `capacity` elements
     /// (rounded up to the next power of two, minimum 2).
+    ///
+    /// The ring comes from zeroed memory, which is already an empty
+    /// queue (see `Slot`): the allocator hands over fresh pages without
+    /// writing them, so a queue touches only the slots its tickets
+    /// reach, however large its capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
-        let slots: Box<[Slot<T>]> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
+        // SAFETY: all-zero bytes are a valid `Slot`: a zero `AtomicUsize`
+        // and an uninitialised value cell.
+        let slots = unsafe { Box::<[Slot<T>]>::new_zeroed_slice(cap).assume_init() };
         BrokerQueue {
             slots,
             mask: cap - 1,
@@ -111,13 +116,14 @@ impl<T> BrokerQueue<T> {
         // Ring phase: claim a ticket; rendezvous is now guaranteed.
         let ticket = self.tail.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[ticket & self.mask];
+        let lap = ticket & !self.mask;
         let mut spins = 0u32;
-        while slot.seq.load(Ordering::Acquire) != ticket {
+        while slot.seq.load(Ordering::Acquire) != lap {
             spin_wait(&mut spins);
         }
-        // SAFETY: seq == ticket grants us exclusive write access.
+        // SAFETY: seq == lap grants us exclusive write access.
         unsafe { (*slot.value.get()).write(value) };
-        slot.seq.store(ticket + 1, Ordering::Release);
+        slot.seq.store(lap + 1, Ordering::Release);
         Ok(())
     }
 
@@ -132,15 +138,16 @@ impl<T> BrokerQueue<T> {
         // Ring phase.
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[ticket & self.mask];
+        let lap = ticket & !self.mask;
         let mut spins = 0u32;
-        while slot.seq.load(Ordering::Acquire) != ticket + 1 {
+        while slot.seq.load(Ordering::Acquire) != lap + 1 {
             spin_wait(&mut spins);
         }
-        // SAFETY: seq == ticket + 1 grants us exclusive read access to a
+        // SAFETY: seq == lap + 1 grants us exclusive read access to a
         // value written by the producer holding the same ticket.
         let value = unsafe { (*slot.value.get()).assume_init_read() };
         // Recycle the slot for the producer one lap ahead.
-        slot.seq.store(ticket + self.mask + 1, Ordering::Release);
+        slot.seq.store(lap + self.mask + 1, Ordering::Release);
         Some(value)
     }
 }
