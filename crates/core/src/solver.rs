@@ -40,9 +40,10 @@ use crate::stats::{MvcResult, PvcResult, SolveStats};
 /// launching a resident grid per 20-vertex component (a thread handoff
 /// per block) would cost more than the whole sub-search. The component
 /// pool (see `Solver::run_pool`) spreads these inline searches over
-/// the resident blocks instead; each pool block keeps one worklist
-/// ring for all of its components, and the larger components' launches
-/// reuse block 0's (see `run_engine`).
+/// the resident blocks instead, one block per this many pooled
+/// vertices; each pool block keeps one worklist ring for all of its
+/// components, and the larger components' launches reuse block 0's
+/// (see `run_engine`).
 const PREP_INLINE_BELOW: u32 = 64;
 
 /// Which scheduling policy drives the engine — the three code versions
@@ -432,6 +433,7 @@ impl SolverBuilder {
         }
         Solver {
             exec: self.executor.build(),
+            host_threads: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
             cfg: self,
         }
     }
@@ -444,6 +446,9 @@ pub struct Solver {
     /// solver; the pooled backend keeps its workers warm across
     /// solves).
     exec: Arc<dyn ParallelExecutor>,
+    /// The host's available parallelism, read once at build: it caps
+    /// the component pool's width.
+    host_threads: u32,
 }
 
 impl Solver {
@@ -469,6 +474,7 @@ impl Solver {
         Solver {
             cfg,
             exec: Arc::clone(&self.exec),
+            host_threads: self.host_threads,
         }
     }
 
@@ -694,12 +700,14 @@ impl Solver {
     /// nothing of the pool shows in [`SolveStats::launch`].
     ///
     /// The width is the grid this solver would launch for the largest
-    /// component, capped by the host's parallelism and the number of
-    /// components; Sequential runs one block, on the calling thread.
-    /// Each Hybrid/Batched block owns one worklist ring, built here on
-    /// the calling thread (block 0 keeps `ring`, the one the launched
-    /// components used) and reset for every component it searches. The
-    /// components' output buffers are reserved here too (see [`Slot`]).
+    /// component, capped by the host's parallelism and by one block per
+    /// [`PREP_INLINE_BELOW`] pooled vertices, so a handful of tiny
+    /// components stays on the calling thread; Sequential runs one
+    /// block. Each Hybrid/Batched block owns one worklist ring, built
+    /// here on the calling thread (block 0 keeps `ring`, the one the
+    /// launched components used) and reset for every component it
+    /// searches. The components' output buffers are reserved here too
+    /// (see [`Slot`]).
     fn run_pool(
         &self,
         search: &ComponentSearch<'_>,
@@ -715,13 +723,17 @@ impl Solver {
                 .try_plan_launch(largest, largest.num_vertices() + 2)
                 .map_or(1, |l| l.grid_blocks),
         };
-        let width = match grid {
-            1 => 1,
-            _ => {
-                let host = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
-                grid.min(host).min(order.len() as u32)
-            }
-        };
+        // A block costs a thread handoff and, for Hybrid/Batched, a
+        // ring, which less than PREP_INLINE_BELOW vertices of work
+        // does not repay.
+        let work: u32 = order
+            .iter()
+            .map(|&idx| components[idx].num_vertices())
+            .sum();
+        let width = grid
+            .min(self.host_threads)
+            .min(work / PREP_INLINE_BELOW)
+            .max(1);
         let rings: Vec<Mutex<Option<HybridFactory>>> = std::iter::once(ring)
             .chain((1..width).map(|_| self.new_ring()))
             .map(Mutex::new)

@@ -16,7 +16,8 @@
 //! grid 2, where the solver's component pool searches components on
 //! two threads at once. Each component search is a single block, so
 //! the counters stay deterministic, and the spans of concurrent
-//! searches must land on their own blocks' tracks.
+//! searches must land on their own blocks' tracks. A kernel of two
+//! tiny components must stay on the calling thread at grid 2.
 
 use parvc::core::{Algorithm, ExecutorSpec, MvcResult, Solver, SolverBuilder, TelemetryConfig};
 use parvc::graph::gen;
@@ -273,5 +274,30 @@ fn pooled_component_spans_stay_on_their_blocks_tracks() {
             "{pname}"
         );
         assert_tracks_nest(&snap.spans, pname);
+    }
+}
+
+/// The pool takes one block per 64 pooled vertices, so a kernel of two
+/// ~20-vertex components stays on the calling thread even at grid 2:
+/// every `component`/`sub-search` span is on block 0's track.
+#[test]
+fn a_few_tiny_components_stay_on_the_calling_thread() {
+    let g = gen::sparse_components(40, 2, 0.3, 1);
+    for (pname, algorithm) in policies() {
+        let r = Solver::builder()
+            .algorithm(algorithm)
+            .grid_limit(Some(2))
+            .preprocess(PrepConfig::default())
+            .telemetry(TelemetryConfig::default())
+            .build()
+            .solve_mvc(&g);
+        let snap = r.stats.telemetry.as_ref().expect("telemetry was on");
+        let tracks: Vec<u32> = snap
+            .spans
+            .iter()
+            .filter(|s| s.cat == "component" && s.name == "sub-search")
+            .map(|s| s.track)
+            .collect();
+        assert_eq!(tracks, [1, 1], "{pname}: component spans by track");
     }
 }
