@@ -6,10 +6,12 @@
 //! defining idea is a two-phase protocol:
 //!
 //! 1. **Broker phase** — producers/consumers negotiate on an atomic
-//!    element `count`. An enqueue first claims `count += 1`; if that
-//!    would exceed capacity it rolls back and reports *full* without
-//!    ever touching the ring. A dequeue claims `count -= 1`; if the
-//!    count was non-positive it rolls back and reports *empty*.
+//!    element `count`. An enqueue claims `count += 1` by
+//!    compare-exchange while the count is below capacity, and reports
+//!    *full* without ever touching the ring otherwise. A dequeue claims
+//!    `count -= 1`; if the count was non-positive it rolls back and
+//!    reports *empty*. So the count never includes an element that
+//!    will not arrive, and a dequeue that claims one always gets it.
 //! 2. **Ring phase** — winners take a monotone head/tail ticket and
 //!    rendezvous with their slot via a per-slot sequence number. Because
 //!    the broker phase guaranteed an element (or a free slot) is
@@ -107,11 +109,25 @@ impl<T> BrokerQueue<T> {
 
     /// Attempts to enqueue; returns the value back if the queue is full.
     pub fn try_push(&self, value: T) -> Result<(), T> {
-        // Broker phase: claim space.
-        let prev = self.count.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.capacity() as i64 {
-            self.count.fetch_sub(1, Ordering::AcqRel);
-            return Err(value);
+        // Broker phase: claim space. A compare-exchange rather than an
+        // add rolled back on overflow: the rolled-back add counted an
+        // element that never comes, and a consumer that claimed it
+        // while the queue drained would wait for it forever.
+        let cap = self.capacity() as i64;
+        let mut count = self.count.load(Ordering::Acquire);
+        loop {
+            if count >= cap {
+                return Err(value);
+            }
+            match self.count.compare_exchange_weak(
+                count,
+                count + 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break,
+                Err(now) => count = now,
+            }
         }
         // Ring phase: claim a ticket; rendezvous is now guaranteed.
         let ticket = self.tail.fetch_add(1, Ordering::Relaxed);
