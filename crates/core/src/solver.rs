@@ -11,7 +11,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use parvc_graph::CsrGraph;
@@ -45,6 +45,13 @@ use crate::stats::{MvcResult, PvcResult, SolveStats};
 /// components, and the larger components' launches reuse block 0's
 /// (see `run_engine`).
 const PREP_INLINE_BELOW: u32 = 64;
+
+/// The host's available parallelism, read once per process: it caps
+/// the component pool's width.
+fn host_threads() -> u32 {
+    static HOST: OnceLock<u32> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u32))
+}
 
 /// Which scheduling policy drives the engine — the three code versions
 /// of §V-A plus the steal-pool extension. Six names, four
@@ -433,7 +440,6 @@ impl SolverBuilder {
         }
         Solver {
             exec: self.executor.build(),
-            host_threads: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
             cfg: self,
         }
     }
@@ -446,9 +452,6 @@ pub struct Solver {
     /// solver; the pooled backend keeps its workers warm across
     /// solves).
     exec: Arc<dyn ParallelExecutor>,
-    /// The host's available parallelism, read once at build: it caps
-    /// the component pool's width.
-    host_threads: u32,
 }
 
 impl Solver {
@@ -474,7 +477,6 @@ impl Solver {
         Solver {
             cfg,
             exec: Arc::clone(&self.exec),
-            host_threads: self.host_threads,
         }
     }
 
@@ -731,7 +733,7 @@ impl Solver {
             .map(|&idx| components[idx].num_vertices())
             .sum();
         let width = grid
-            .min(self.host_threads)
+            .min(host_threads())
             .min(work / PREP_INLINE_BELOW)
             .max(1);
         let rings: Vec<Mutex<Option<HybridFactory>>> = std::iter::once(ring)

@@ -109,10 +109,9 @@ impl<T> BrokerQueue<T> {
 
     /// Attempts to enqueue; returns the value back if the queue is full.
     pub fn try_push(&self, value: T) -> Result<(), T> {
-        // Broker phase: claim space. A compare-exchange rather than an
-        // add rolled back on overflow: the rolled-back add counted an
-        // element that never comes, and a consumer that claimed it
-        // while the queue drained would wait for it forever.
+        // Broker phase: claim space by compare-exchange, so the count
+        // never includes an element that will not arrive: a consumer
+        // that claimed one would wait on its slot forever.
         let cap = self.capacity() as i64;
         let mut count = self.count.load(Ordering::Acquire);
         loop {
