@@ -73,9 +73,9 @@ impl<T> BrokerQueue<T> {
     /// (rounded up to the next power of two, minimum 2).
     ///
     /// The ring comes from zeroed memory, which is already an empty
-    /// queue (see `Slot`): the allocator hands over fresh pages without
-    /// writing them, so a queue touches only the slots its tickets
-    /// reach, however large its capacity.
+    /// queue (see `Slot`). The allocator hands over fresh pages without
+    /// writing them, so a ring on fresh pages touches only the slots
+    /// its tickets reach, however large its capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         // SAFETY: all-zero bytes are a valid `Slot`: a zero `AtomicUsize`
