@@ -30,12 +30,15 @@
 //!   all went through the component pool must digest the same at
 //!   grid 2 and 4 as at grid 1, where the pool is the serial loop.
 //!
+//! Both solve tables have two arms: the paper's bounds alone, and the
+//! paper's bounds plus the matching lower bound.
+//!
 //! The kernel and solve corpus is the `massive-prep` benchmark's three
 //! families at 20,000 and 2,000 vertices plus `pace_like` and `gnp`
 //! instances. On a mismatch the assertion prints the whole measured
 //! table, in the form the constants below are written in.
 
-use parvc::core::{Algorithm, MvcResult, SolveStats, Solver};
+use parvc::core::{Algorithm, MvcResult, SolveStats, Solver, SolverBuilder};
 use parvc::graph::{gen, CsrGraph};
 use parvc::prep::{preprocess, Kernel, PrepConfig};
 use parvc::simgpu::counters::{Activity, BlockCounters};
@@ -263,6 +266,160 @@ const PATHS: &[PathRow] = &[
     ("star:10", "on", "compsteal", [0, 0, 0, 0, 0, 0], 14746806931736093560),
 ];
 
+/// [`SOLVES`] with the matching lower bound.
+#[rustfmt::skip]
+const SOLVES_MATCHING: &[SolveRow] = &[
+    ("components:2000:100:0.3@1/default", "seq", [1244, 868], 16076107372479258882),
+    ("components:2000:100:0.3@1/default", "hybrid", [1244, 872], 3450581311371909035),
+    ("components:2000:100:0.3@1/default", "batch", [1244, 868], 2591456840262341454),
+    ("components:2000:100:0.3@1/default", "compsteal", [1244, 868], 12106726235363984483),
+    ("components:2000:100:0.3@1/crown", "seq", [1244, 870], 15397046707907471631),
+    ("components:2000:100:0.3@1/crown", "hybrid", [1244, 874], 16776415954841933140),
+    ("components:2000:100:0.3@1/crown", "batch", [1244, 870], 7876802660881583589),
+    ("components:2000:100:0.3@1/crown", "compsteal", [1244, 870], 7795593541424579091),
+    ("ba:2000:1@1/default", "seq", [586, 0], 7840180560706559272),
+    ("ba:2000:1@1/default", "hybrid", [586, 0], 7840180560706559272),
+    ("ba:2000:1@1/default", "batch", [586, 0], 7840180560706559272),
+    ("ba:2000:1@1/default", "compsteal", [586, 0], 7840180560706559272),
+    ("ba:2000:1@1/crown", "seq", [586, 223], 13542375863226785618),
+    ("ba:2000:1@1/crown", "hybrid", [586, 223], 123867366827584755),
+    ("ba:2000:1@1/crown", "batch", [586, 223], 123867366827584755),
+    ("ba:2000:1@1/crown", "compsteal", [586, 223], 13723720077014963146),
+    ("powergrid:2000:300@1/default", "seq", [852, 0], 7248428610195776785),
+    ("powergrid:2000:300@1/default", "hybrid", [852, 0], 7248428610195776785),
+    ("powergrid:2000:300@1/default", "batch", [852, 0], 7248428610195776785),
+    ("powergrid:2000:300@1/default", "compsteal", [852, 0], 7248428610195776785),
+    ("powergrid:2000:300@1/crown", "seq", [852, 142], 7756060526119480881),
+    ("powergrid:2000:300@1/crown", "hybrid", [852, 142], 18185627912424628246),
+    ("powergrid:2000:300@1/crown", "batch", [852, 142], 18185627912424628246),
+    ("powergrid:2000:300@1/crown", "compsteal", [852, 142], 12190556877520529673),
+    ("components:2000:100:0.3@7/default", "seq", [1252, 930], 6077957264000589093),
+    ("components:2000:100:0.3@7/default", "hybrid", [1252, 928], 9557702246390306765),
+    ("components:2000:100:0.3@7/default", "batch", [1252, 928], 100916938206854851),
+    ("components:2000:100:0.3@7/default", "compsteal", [1252, 930], 14725952382430005006),
+    ("components:2000:100:0.3@7/crown", "seq", [1252, 932], 15690072540491554527),
+    ("components:2000:100:0.3@7/crown", "hybrid", [1252, 930], 15238827784110208917),
+    ("components:2000:100:0.3@7/crown", "batch", [1252, 930], 9921958039897048784),
+    ("components:2000:100:0.3@7/crown", "compsteal", [1252, 932], 361890615987824868),
+    ("ba:2000:1@7/default", "seq", [599, 0], 11057422748907980334),
+    ("ba:2000:1@7/default", "hybrid", [599, 0], 11057422748907980334),
+    ("ba:2000:1@7/default", "batch", [599, 0], 11057422748907980334),
+    ("ba:2000:1@7/default", "compsteal", [599, 0], 11057422748907980334),
+    ("ba:2000:1@7/crown", "seq", [599, 234], 7975730393202569873),
+    ("ba:2000:1@7/crown", "hybrid", [599, 234], 2121498693880430282),
+    ("ba:2000:1@7/crown", "batch", [599, 234], 2121498693880430282),
+    ("ba:2000:1@7/crown", "compsteal", [599, 234], 10384301408782765484),
+    ("powergrid:2000:300@7/default", "seq", [852, 0], 15383193473540818763),
+    ("powergrid:2000:300@7/default", "hybrid", [852, 0], 15383193473540818763),
+    ("powergrid:2000:300@7/default", "batch", [852, 0], 15383193473540818763),
+    ("powergrid:2000:300@7/default", "compsteal", [852, 0], 15383193473540818763),
+    ("powergrid:2000:300@7/crown", "seq", [852, 142], 17232238203676789522),
+    ("powergrid:2000:300@7/crown", "hybrid", [852, 142], 6480898760992448895),
+    ("powergrid:2000:300@7/crown", "batch", [852, 142], 6480898760992448895),
+    ("powergrid:2000:300@7/crown", "compsteal", [852, 142], 16834334015001410054),
+];
+
+/// [`PATHS`] with the matching lower bound.
+#[rustfmt::skip]
+const PATHS_MATCHING: &[PathRow] = &[
+    ("gnp:40:0.2@9", "off", "seq", [63, 203, 63, 15, 15, 41], 9552371548632826118),
+    ("gnp:40:0.2@9", "off", "stack", [1222, 1392, 1222, 15, 15, 1048], 7110949696732784882),
+    ("gnp:40:0.2@9", "off", "hybrid", [63, 203, 63, 15, 15, 41], 13645495682631646121),
+    ("gnp:40:0.2@9", "off", "steal", [63, 203, 63, 15, 15, 41], 13019412914725770100),
+    ("gnp:40:0.2@9", "off", "batch", [63, 203, 63, 15, 15, 41], 9020699757230047885),
+    ("gnp:40:0.2@9", "off", "compsteal", [63, 205, 63, 15, 15, 41], 2201249631791950693),
+    ("gnp:40:0.2@9", "on", "seq", [63, 203, 63, 15, 15, 41], 17583048551137946841),
+    ("gnp:40:0.2@9", "on", "stack", [1222, 1392, 1222, 15, 15, 1048], 6156956105061092334),
+    ("gnp:40:0.2@9", "on", "hybrid", [63, 203, 63, 15, 15, 41], 7797987798592410174),
+    ("gnp:40:0.2@9", "on", "steal", [63, 203, 63, 15, 15, 41], 6528182442740511998),
+    ("gnp:40:0.2@9", "on", "batch", [63, 203, 63, 15, 15, 41], 993348985757711794),
+    ("gnp:40:0.2@9", "on", "compsteal", [63, 205, 63, 15, 15, 41], 13079290058011063542),
+    ("components:64:8:0.5@3", "off", "seq", [67, 475, 67, 14, 14, 5], 9415890271414625987),
+    ("components:64:8:0.5@3", "off", "stack", [1316, 1816, 1316, 14, 14, 640], 7781505264042270770),
+    ("components:64:8:0.5@3", "off", "hybrid", [67, 577, 67, 14, 14, 5], 325352387376470143),
+    ("components:64:8:0.5@3", "off", "steal", [67, 475, 67, 14, 14, 5], 11356102347118206658),
+    ("components:64:8:0.5@3", "off", "batch", [67, 637, 67, 14, 14, 5], 10503387876587276054),
+    ("components:64:8:0.5@3", "off", "compsteal", [7, 46, 7, 9, 9, 5], 7124869038846065783),
+    ("components:64:8:0.5@3", "on", "seq", [7, 44, 7, 7, 7, 5], 11050133655031187070),
+    ("components:64:8:0.5@3", "on", "stack", [1792, 5056, 1792, 1792, 1792, 640], 7578748289269957418),
+    ("components:64:8:0.5@3", "on", "hybrid", [7, 44, 7, 7, 7, 5], 5471059783982197824),
+    ("components:64:8:0.5@3", "on", "steal", [7, 44, 7, 7, 7, 5], 744896763642422502),
+    ("components:64:8:0.5@3", "on", "batch", [7, 44, 7, 7, 7, 5], 16184200639125548788),
+    ("components:64:8:0.5@3", "on", "compsteal", [7, 44, 7, 7, 7, 5], 18204141913099038568),
+    ("phat:60:2@5", "off", "seq", [351, 499, 325, 96, 96, 329], 8345527995119474516),
+    ("phat:60:2@5", "off", "stack", [1152, 1632, 1126, 96, 96, 1102], 15904395708920084279),
+    ("phat:60:2@5", "off", "hybrid", [391, 601, 325, 136, 136, 329], 2187255253486309310),
+    ("phat:60:2@5", "off", "steal", [351, 499, 325, 96, 96, 329], 326657412539679690),
+    ("phat:60:2@5", "off", "batch", [401, 595, 325, 195, 195, 329], 4331076421512479647),
+    ("phat:60:2@5", "off", "compsteal", [351, 497, 325, 96, 96, 329], 10166818788705144401),
+    ("phat:60:2@5", "on", "seq", [351, 499, 325, 96, 96, 333], 12510443079407791001),
+    ("phat:60:2@5", "on", "stack", [1152, 1632, 1126, 96, 96, 1106], 17894692058945241561),
+    ("phat:60:2@5", "on", "hybrid", [391, 601, 325, 136, 136, 437], 13335784077551580783),
+    ("phat:60:2@5", "on", "steal", [351, 499, 325, 96, 96, 333], 14613045023865476865),
+    ("phat:60:2@5", "on", "batch", [401, 595, 325, 195, 195, 409], 1364325932408376369),
+    ("phat:60:2@5", "on", "compsteal", [351, 497, 325, 96, 96, 333], 2223934022658168189),
+    ("phat:70:2@1", "off", "seq", [593, 851, 593, 51, 51, 589], 16177582252110002304),
+    ("phat:70:2@1", "off", "stack", [1490, 2030, 1490, 51, 51, 1508], 108667390962412945),
+    ("phat:70:2@1", "off", "hybrid", [593, 851, 593, 51, 51, 589], 10454232640584395213),
+    ("phat:70:2@1", "off", "steal", [593, 851, 593, 51, 51, 589], 16034498230276989172),
+    ("phat:70:2@1", "off", "batch", [593, 851, 593, 51, 51, 589], 4389461320190050364),
+    ("phat:70:2@1", "off", "compsteal", [593, 851, 593, 51, 51, 589], 16733944064602503212),
+    ("phat:70:2@1", "on", "seq", [593, 851, 593, 51, 51, 589], 8554231375095511307),
+    ("phat:70:2@1", "on", "stack", [1490, 2030, 1490, 51, 51, 1508], 13439019558246145080),
+    ("phat:70:2@1", "on", "hybrid", [593, 851, 593, 51, 51, 613], 5721198099473435320),
+    ("phat:70:2@1", "on", "steal", [593, 851, 593, 51, 51, 589], 15972405152998155778),
+    ("phat:70:2@1", "on", "batch", [593, 851, 593, 51, 51, 613], 11705956313312718063),
+    ("phat:70:2@1", "on", "compsteal", [593, 851, 593, 51, 51, 589], 15965517564459835239),
+    ("ba:60:2@4", "off", "seq", [1, 15, 1, 1, 1, 1], 15242520456891524336),
+    ("ba:60:2@4", "off", "stack", [256, 824, 256, 1, 1, 256], 8065018754688529012),
+    ("ba:60:2@4", "off", "hybrid", [1, 15, 1, 1, 1, 1], 10583619319148012573),
+    ("ba:60:2@4", "off", "steal", [1, 15, 1, 1, 1, 1], 9759433424630093938),
+    ("ba:60:2@4", "off", "batch", [1, 15, 1, 1, 1, 1], 1840971977831103932),
+    ("ba:60:2@4", "off", "compsteal", [1, 20, 1, 1, 1, 1], 13009529484453726508),
+    ("ba:60:2@4", "on", "seq", [0, 16, 0, 0, 0, 0], 16800814609340477938),
+    ("ba:60:2@4", "on", "stack", [0, 1328, 0, 0, 0, 0], 9438194012049326340),
+    ("ba:60:2@4", "on", "hybrid", [0, 16, 0, 0, 0, 0], 4111432701466417393),
+    ("ba:60:2@4", "on", "steal", [0, 16, 0, 0, 0, 0], 17056349345384919972),
+    ("ba:60:2@4", "on", "batch", [0, 16, 0, 0, 0, 0], 7118809594064036750),
+    ("ba:60:2@4", "on", "compsteal", [0, 19, 0, 0, 0, 0], 3569136299124448034),
+    ("pace:80:6@3", "off", "seq", [323, 3503, 323, 21, 21, 241], 7963293727055925529),
+    ("pace:80:6@3", "off", "stack", [1556, 5184, 1556, 21, 21, 1454], 6536385853735004175),
+    ("pace:80:6@3", "off", "hybrid", [323, 3873, 323, 21, 21, 241], 9727939354938140508),
+    ("pace:80:6@3", "off", "steal", [323, 3503, 323, 21, 21, 241], 1972960320933441381),
+    ("pace:80:6@3", "off", "batch", [323, 4027, 323, 21, 21, 241], 345964536884736027),
+    ("pace:80:6@3", "off", "compsteal", [262, 2004, 262, 21, 21, 233], 12434904712620304866),
+    ("pace:80:6@3", "on", "seq", [323, 3503, 323, 21, 21, 241], 8461461433614167105),
+    ("pace:80:6@3", "on", "stack", [1556, 5184, 1556, 21, 21, 1454], 10409553515314317407),
+    ("pace:80:6@3", "on", "hybrid", [323, 3873, 323, 21, 21, 241], 4639779301477637462),
+    ("pace:80:6@3", "on", "steal", [323, 3503, 323, 21, 21, 241], 1271434155156282462),
+    ("pace:80:6@3", "on", "batch", [323, 4027, 323, 21, 21, 241], 12920291703230056253),
+    ("pace:80:6@3", "on", "compsteal", [262, 2004, 262, 21, 21, 233], 9211079258555721470),
+    ("edgeless:7", "off", "seq", [0, 0, 0, 0, 0, 1], 7760359967210286023),
+    ("edgeless:7", "off", "stack", [0, 0, 0, 0, 0, 256], 4230893342013119962),
+    ("edgeless:7", "off", "hybrid", [0, 0, 0, 0, 0, 1], 13471884197482443222),
+    ("edgeless:7", "off", "steal", [0, 0, 0, 0, 0, 1], 14860917497007587863),
+    ("edgeless:7", "off", "batch", [0, 0, 0, 0, 0, 1], 13471884197482443222),
+    ("edgeless:7", "off", "compsteal", [0, 0, 0, 0, 0, 1], 14860917497007587863),
+    ("edgeless:7", "on", "seq", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "stack", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "hybrid", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "steal", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "batch", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("edgeless:7", "on", "compsteal", [0, 0, 0, 0, 0, 0], 9978699060554895864),
+    ("star:10", "off", "seq", [1, 1, 1, 1, 1, 1], 3169812619945484420),
+    ("star:10", "off", "stack", [256, 256, 256, 1, 1, 256], 8758672875416319570),
+    ("star:10", "off", "hybrid", [1, 1, 1, 1, 1, 1], 12836916177130241552),
+    ("star:10", "off", "steal", [1, 1, 1, 1, 1, 1], 7131129684564401300),
+    ("star:10", "off", "batch", [1, 1, 1, 1, 1, 1], 12836916177130241552),
+    ("star:10", "off", "compsteal", [1, 1, 1, 1, 1, 1], 7131129684564401300),
+    ("star:10", "on", "seq", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "stack", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "hybrid", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "steal", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "batch", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+    ("star:10", "on", "compsteal", [0, 0, 0, 0, 0, 0], 14746806931736093560),
+];
+
 /// The massive-prep families at `n` vertices, two seeds each.
 fn massive(n: u32) -> Vec<(String, CsrGraph)> {
     let mut out = Vec::new();
@@ -435,8 +592,13 @@ fn kernels_match_the_captured_digests() {
     assert_rows("kernels", &rows, KERNELS);
 }
 
-#[test]
-fn prep_on_solves_match_the_captured_digests() {
+/// The paper's bounds alone (`matching` off), or with the matching
+/// lower bound.
+fn bounds(builder: SolverBuilder, matching: bool) -> SolverBuilder {
+    builder.matching_lower_bound(matching)
+}
+
+fn prep_on_solves(matching: bool) -> Vec<SolveRow> {
     let policies = [
         ("seq", Algorithm::Sequential),
         ("hybrid", Algorithm::Hybrid),
@@ -448,17 +610,30 @@ fn prep_on_solves_match_the_captured_digests() {
         for (config, cfg) in [&configs()[0], &configs()[2]] {
             let inst = name(format!("{inst}/{config}"));
             for (policy, algorithm) in policies {
-                let r = Solver::builder()
+                let builder = Solver::builder()
                     .algorithm(algorithm)
                     .grid_limit(Some(1))
-                    .preprocess(cfg.clone())
-                    .build()
-                    .solve_mvc(&g);
+                    .preprocess(cfg.clone());
+                let r = bounds(builder, matching).build().solve_mvc(&g);
                 rows.push(solve_row(inst, policy, &r));
             }
         }
     }
-    assert_rows("solves", &rows, SOLVES);
+    rows
+}
+
+#[test]
+fn prep_on_solves_match_the_captured_digests() {
+    assert_rows("solves", &prep_on_solves(false), SOLVES);
+}
+
+#[test]
+fn prep_on_solves_with_the_matching_bound_match_the_captured_digests() {
+    assert_rows(
+        "solves with the matching bound",
+        &prep_on_solves(true),
+        SOLVES_MATCHING,
+    );
 }
 
 /// Small instances whose solves stay in the hundreds of tree nodes at
@@ -506,8 +681,7 @@ fn mvc(d: &mut Digest, r: &MvcResult) {
     stats(d, &r.stats);
 }
 
-#[test]
-fn every_solve_path_matches_the_captured_digests() {
+fn every_solve_path(matching: bool) -> Vec<PathRow> {
     let mut rows = Vec::new();
     for (inst, g) in path_corpus() {
         let weighted_g = gen::with_uniform_weights(g.clone(), 10, 5);
@@ -520,6 +694,7 @@ fn every_solve_path_matches_the_captured_digests() {
                 if prep == "on" {
                     builder = builder.preprocess(PrepConfig::default());
                 }
+                let builder = bounds(builder, matching);
                 let solver = builder.clone().build();
                 let weighted = builder.weighted().build();
                 let mut d = Digest::new();
@@ -574,7 +749,21 @@ fn every_solve_path_matches_the_captured_digests() {
             }
         }
     }
-    assert_rows("solve paths", &rows, PATHS);
+    rows
+}
+
+#[test]
+fn every_solve_path_matches_the_captured_digests() {
+    assert_rows("solve paths", &every_solve_path(false), PATHS);
+}
+
+#[test]
+fn every_solve_path_with_the_matching_bound_matches_the_captured_digests() {
+    assert_rows(
+        "solve paths with the matching bound",
+        &every_solve_path(true),
+        PATHS_MATCHING,
+    );
 }
 
 /// One solve's answer and every stats field `stats` digests.
