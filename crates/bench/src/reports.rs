@@ -11,7 +11,7 @@ use parvc_simgpu::DeviceSpec;
 
 use crate::cli::BenchArgs;
 use crate::format::{fmt_seconds, geomean, Table};
-use crate::runner::{compute_min, make_solver, run_instance, Impl, InstanceRow, Problem};
+use crate::runner::{self, compute_min, make_solver, run_instance, Impl, InstanceRow, Problem};
 use crate::suite::{fig5_pair, phat_suite, suite, Instance, Scale};
 
 /// Runs the full Table I grid once (shared by `table1` and `table2`).
@@ -825,12 +825,9 @@ pub fn sensitivity(args: &BenchArgs) {
         for inst in &reps {
             let mut times = Vec::new();
             for depth in [4u32, 8, 12] {
-                let solver = Solver::builder()
-                    .algorithm(Algorithm::StackOnly { start_depth: depth })
-                    .device(DeviceSpec::scaled(args.sms))
-                    .grid_limit(Some(args.grid))
-                    .deadline(Some(args.deadline))
-                    .build();
+                let solver = solver_with(Impl::StackOnly, args, |b| {
+                    b.algorithm(Algorithm::StackOnly { start_depth: depth })
+                });
                 let r = solver.solve_mvc(&inst.graph);
                 if !r.stats.timed_out {
                     times.push(r.stats.seconds().max(1e-4));
@@ -889,22 +886,7 @@ fn solver_with(
     args: &BenchArgs,
     f: impl FnOnce(parvc_core::SolverBuilder) -> parvc_core::SolverBuilder,
 ) -> Solver {
-    let algorithm = match imp {
-        Impl::Sequential => Algorithm::Sequential,
-        Impl::StackOnly => Algorithm::StackOnly {
-            start_depth: args.start_depth,
-        },
-        Impl::Hybrid => Algorithm::Hybrid,
-        Impl::WorkStealing => Algorithm::WorkStealing,
-        Impl::ComponentSteal => Algorithm::ComponentSteal,
-    };
-    f(Solver::builder()
-        .algorithm(algorithm)
-        .device(DeviceSpec::scaled(args.sms))
-        .grid_limit(Some(args.grid))
-        .deadline(Some(args.deadline))
-        .executor(args.exec))
-    .build()
+    f(runner::builder(imp, args, Some(args.deadline))).build()
 }
 
 /// Medium-hard instances used for sweeps (hard enough to measure,
@@ -923,8 +905,8 @@ fn representative_subset(args: &BenchArgs) -> Vec<Instance> {
 }
 
 /// **Extensions ablation** — the paper-faithful rule set vs the
-/// optional matching lower bound: how much smaller does the search
-/// tree get, and at what overhead?
+/// matching lower bound (the solver's default): how much smaller does
+/// the search tree get, and at what overhead?
 pub fn extensions_ablation(args: &BenchArgs) {
     println!("\n=== Ablation: optional extensions beyond the paper's rules ===");
     let reps = representative_subset(args);
@@ -939,13 +921,7 @@ pub fn extensions_ablation(args: &BenchArgs) {
         let mut baseline_nodes = 0u64;
         for (label, ext) in [
             ("none (paper-faithful)", Extensions::NONE),
-            (
-                "+matching LB",
-                Extensions {
-                    matching_lower_bound: true,
-                    ..Extensions::NONE
-                },
-            ),
+            ("+matching LB", Extensions::default()),
         ] {
             let solver = solver_with(Impl::Hybrid, args, |b| b.extensions(ext));
             let r = solver.solve_mvc(&inst.graph);

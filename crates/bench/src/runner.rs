@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use parvc_core::{Algorithm, MvcResult, PvcResult, Solver};
+use parvc_core::{Algorithm, Extensions, MvcResult, PvcResult, Solver, SolverBuilder};
 use parvc_simgpu::DeviceSpec;
 
 use crate::cli::BenchArgs;
@@ -111,8 +111,10 @@ pub struct Cell {
     pub device_cycles: u64,
 }
 
-/// Builds a solver for one implementation under the harness settings.
-pub fn make_solver(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> Solver {
+/// A solver builder for one implementation under the harness settings.
+/// It pins [`Extensions::NONE`], the paper's bounds alone, so the
+/// reproduced tables and figures stay comparable with the paper.
+pub fn builder(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> SolverBuilder {
     let algorithm = match imp {
         Impl::Sequential => Algorithm::Sequential,
         Impl::StackOnly => Algorithm::StackOnly {
@@ -128,7 +130,13 @@ pub fn make_solver(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> S
         .grid_limit(Some(args.grid))
         .deadline(deadline)
         .executor(args.exec)
-        .build()
+        .extensions(Extensions::NONE)
+}
+
+/// Builds a solver for one implementation under the harness settings
+/// (see [`builder`]).
+pub fn make_solver(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> Solver {
+    builder(imp, args, deadline).build()
 }
 
 /// Establishes `min` (the exact MVC size) for an instance, used to set

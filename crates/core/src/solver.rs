@@ -119,10 +119,13 @@ impl std::fmt::Display for Algorithm {
 
 /// Builder for [`Solver`].
 ///
-/// Every knob defaults to the paper-faithful configuration; the
-/// extensions opt in per solve. The full pipeline — kernelization in
-/// front, work stealing with whole-component donation, in-search
-/// splitting, a wall-clock budget — composes like this:
+/// Every knob defaults to the paper-faithful configuration, except
+/// that the matching lower bound prunes on top of the paper's bounds
+/// (see [`Extensions`]; `.extensions(Extensions::NONE)` turns it off).
+/// The other extensions opt in per solve. The full pipeline —
+/// kernelization in front, work stealing with whole-component
+/// donation, in-search splitting, a wall-clock budget — composes like
+/// this:
 ///
 /// ```
 /// use std::time::Duration;
@@ -179,7 +182,7 @@ impl Default for SolverBuilder {
             force_block_size: None,
             grid_limit: Some(32),
             deadline: None,
-            ext: Extensions::NONE,
+            ext: Extensions::default(),
             record_trace: false,
             prep: None,
             weighted: false,
@@ -262,8 +265,10 @@ impl SolverBuilder {
         self
     }
 
-    /// Enables the optional extensions beyond the paper's rules
-    /// (see [`Extensions`]); default: all off (paper-faithful).
+    /// Sets the extensions beyond the paper's rules (see
+    /// [`Extensions`]). Default: [`Extensions::default`], the matching
+    /// lower bound on; [`Extensions::NONE`] keeps the paper's bounds
+    /// alone.
     ///
     /// Component branching configured earlier on this builder (via
     /// [`component_branching`](Self::component_branching)) survives
@@ -389,12 +394,6 @@ impl SolverBuilder {
     /// search's starting upper bound; the optimum is unaffected.
     pub fn seed(mut self, strategy: crate::approx::SeedStrategy) -> Self {
         self.ext.seed_strategy = strategy;
-        self
-    }
-
-    /// Enables maximal-matching lower-bound pruning.
-    pub fn matching_lower_bound(mut self, on: bool) -> Self {
-        self.ext.matching_lower_bound = on;
         self
     }
 

@@ -7,7 +7,7 @@
 //! parvc solve   [--policy seq|stack|hybrid|steal|batch|compsteal]
 //!               [--threads <n>] [--exec serial|pooled[:threads]]
 //!               [--k <k>] [--deadline <s>]
-//!               [--extensions] [--component-branching[=<min-live>]]
+//!               [--component-branching[=<min-live>]]
 //!               [--split-bound lp|matching] [--split-backend uf|bfs]
 //!               [--prep] [--prep-rules d012,crown,highdeg,split]
 //!               [--weighted] [--seed greedy|approx]
@@ -103,7 +103,9 @@ const COMMANDS: &[CmdHelp] = &[
         name: "solve",
         usage: "parvc solve [options] <instance>",
         summary: "Solve minimum vertex cover (or, with --k, parameterized \
-                  vertex cover) on a file or generator-spec instance.",
+                  vertex cover) on a file or generator-spec instance. The \
+                  search prunes with the paper's bounds and a greedy \
+                  maximal-matching lower bound.",
         flags: &[
             FlagHelp {
                 flag: "--policy <seq|stack|hybrid|steal|batch|compsteal>",
@@ -176,10 +178,6 @@ const COMMANDS: &[CmdHelp] = &[
                        incremental union-find tracker (default) or the \
                        from-scratch BFS baseline it is benchmarked against. \
                        Implies --component-branching.",
-            },
-            FlagHelp {
-                flag: "--extensions",
-                desc: "Enable the beyond-paper matching lower bound.",
             },
             FlagHelp {
                 flag: "--prep",
@@ -750,7 +748,7 @@ fn cmd_solve(args: &[String]) {
             "metrics-out",
         ],
         &["component-branching", "timeline", "progress"],
-        &["extensions", "prep", "weighted"],
+        &["prep", "weighted"],
     );
     let Some(path) = flags.positional.first() else {
         eprintln!("solve: missing instance (file or generator spec)");
@@ -779,9 +777,6 @@ fn cmd_solve(args: &[String]) {
             std::process::exit(2);
         });
         builder = builder.executor(spec);
-    }
-    if flags.switches.contains("extensions") {
-        builder = builder.extensions(parvc::core::Extensions::ALL);
     }
     if let Some(s) = flags.options.get("seed") {
         let strategy = parvc::core::SeedStrategy::parse(s).unwrap_or_else(|err| {
@@ -1539,7 +1534,7 @@ mod tests {
         "metrics-out",
     ];
     const SOLVE_OPT: &[&str] = &["component-branching", "timeline", "progress"];
-    const SOLVE_SWITCH: &[&str] = &["extensions", "prep", "weighted"];
+    const SOLVE_SWITCH: &[&str] = &["prep", "weighted"];
 
     fn solve_flags(args: &[String]) -> Result<Flags, String> {
         parse_flags(args, SOLVE_VALUE, SOLVE_OPT, SOLVE_SWITCH)

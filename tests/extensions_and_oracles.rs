@@ -1,5 +1,7 @@
-//! The optional matching lower bound must preserve exactness — and the Kőnig-theorem polynomial oracle lets us
-//! check all solvers on bipartite instances far beyond brute force.
+//! The matching lower bound, on by default, must preserve exactness
+//! and never grow the search tree — and the Kőnig-theorem polynomial
+//! oracle lets us check all solvers on bipartite instances far beyond
+//! brute force.
 
 use parvc::core::brute::brute_force_mvc;
 use parvc::core::{is_vertex_cover, Algorithm, Extensions, Solver};
@@ -21,10 +23,7 @@ proptest! {
     #[test]
     fn extensions_keep_all_algorithms_exact(g in arb_graph()) {
         let (opt, _) = brute_force_mvc(&g);
-        for ext in [
-            Extensions { matching_lower_bound: true, ..Extensions::NONE },
-            Extensions::ALL,
-        ] {
+        for ext in [Extensions::NONE, Extensions::default()] {
             for algorithm in [
                 Algorithm::Sequential,
                 Algorithm::StackOnly { start_depth: 4 },
@@ -47,7 +46,6 @@ proptest! {
         let (opt, _) = brute_force_mvc(&g);
         let solver = Solver::builder()
             .algorithm(Algorithm::Hybrid)
-            .extensions(Extensions::ALL)
             .grid_limit(Some(4))
             .build();
         if opt > 0 {
@@ -57,29 +55,55 @@ proptest! {
     }
 }
 
+/// At one block a sound extra prune only removes subtrees that hold no
+/// improving cover, so the incumbents are found in the same order and
+/// the tree can only shrink: per instance, `seq` with the matching
+/// bound visits no more tree nodes than with the paper's bounds alone,
+/// in MVC, PVC at opt − 1 and weighted MVC.
 #[test]
-fn extensions_never_explore_more_than_baseline_on_average() {
-    // The extensions strictly strengthen pruning/reduction, so across a
-    // batch of instances total explored nodes must not grow.
-    let mut base_nodes = 0u64;
-    let mut ext_nodes = 0u64;
+fn the_matching_bound_never_explores_more_than_the_paper_bounds() {
+    let seq = Solver::builder().algorithm(Algorithm::Sequential);
+    let paper = seq.clone().extensions(Extensions::NONE);
+    let pairs = [
+        (paper.clone().build(), seq.clone().build()),
+        (paper.weighted().build(), seq.weighted().build()),
+    ];
+    let mut corpus = Vec::new();
     for seed in 0..6 {
-        let g = gen::gnp(26, 0.25, seed + 70);
-        let base = Solver::builder().algorithm(Algorithm::Sequential).build();
-        let ext = Solver::builder()
-            .algorithm(Algorithm::Sequential)
-            .extensions(Extensions::ALL)
-            .build();
-        let rb = base.solve_mvc(&g);
-        let re = ext.solve_mvc(&g);
-        assert_eq!(rb.size, re.size, "seed {seed}");
-        base_nodes += rb.stats.tree_nodes;
-        ext_nodes += re.stats.tree_nodes;
+        corpus.push((
+            format!("gnp:26:0.25@{}", seed + 70),
+            gen::gnp(26, 0.25, seed + 70),
+        ));
+        corpus.push((
+            format!("phat:50:2@{seed}"),
+            gen::p_hat_complement(50, 2, seed),
+        ));
     }
-    assert!(
-        ext_nodes <= base_nodes,
-        "extensions explored more nodes overall ({ext_nodes} > {base_nodes})"
-    );
+    let mut fewer = 0;
+    for (name, g) in &corpus {
+        let weighted_g = gen::with_uniform_weights(g.clone(), 10, 5);
+        let (paper, bound) = &pairs[0];
+        let (rp, rb) = (paper.solve_mvc(g), bound.solve_mvc(g));
+        assert_eq!(rp.size, rb.size, "{name}: MVC optimum");
+        let mut nodes = vec![("MVC", rp.stats.tree_nodes, rb.stats.tree_nodes)];
+        if let Some(k) = rp.size.checked_sub(1) {
+            let (pp, pb) = (paper.solve_pvc(g, k), bound.solve_pvc(g, k));
+            assert!(!pp.found() && !pb.found(), "{name}: PVC at opt - 1");
+            nodes.push(("PVC", pp.stats.tree_nodes, pb.stats.tree_nodes));
+        }
+        let (paper, bound) = &pairs[1];
+        let (wp, wb) = (paper.solve_mvc(&weighted_g), bound.solve_mvc(&weighted_g));
+        assert_eq!(wp.weight, wb.weight, "{name}: weighted optimum");
+        nodes.push(("weighted", wp.stats.tree_nodes, wb.stats.tree_nodes));
+        for (mode, without, with) in nodes {
+            assert!(
+                with <= without,
+                "{name} {mode}: {with} tree nodes with the bound > {without} without"
+            );
+            fewer += usize::from(with < without);
+        }
+    }
+    assert!(fewer > 0, "the bound never pruned a node");
 }
 
 #[test]
@@ -126,10 +150,7 @@ fn matching_lower_bound_tightens_the_greedy_gap() {
     // proves optimality after the root node.
     let edges: Vec<(u32, u32)> = (0..30).map(|i| (2 * i, 2 * i + 1)).collect();
     let g = CsrGraph::from_edges(60, &edges).unwrap();
-    let solver = Solver::builder()
-        .algorithm(Algorithm::Sequential)
-        .matching_lower_bound(true)
-        .build();
+    let solver = Solver::builder().algorithm(Algorithm::Sequential).build();
     let r = solver.solve_mvc(&g);
     assert_eq!(r.size, 30);
 }

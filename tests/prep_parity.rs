@@ -38,7 +38,7 @@
 //! instances. On a mismatch the assertion prints the whole measured
 //! table, in the form the constants below are written in.
 
-use parvc::core::{Algorithm, MvcResult, SolveStats, Solver, SolverBuilder};
+use parvc::core::{Algorithm, Extensions, MvcResult, SolveStats, Solver, SolverBuilder};
 use parvc::graph::{gen, CsrGraph};
 use parvc::prep::{preprocess, Kernel, PrepConfig};
 use parvc::simgpu::counters::{Activity, BlockCounters};
@@ -592,10 +592,14 @@ fn kernels_match_the_captured_digests() {
     assert_rows("kernels", &rows, KERNELS);
 }
 
-/// The paper's bounds alone (`matching` off), or with the matching
-/// lower bound.
+/// The paper's bounds alone (`matching` off), or the builder default,
+/// which adds the matching lower bound.
 fn bounds(builder: SolverBuilder, matching: bool) -> SolverBuilder {
-    builder.matching_lower_bound(matching)
+    if matching {
+        builder
+    } else {
+        builder.extensions(Extensions::NONE)
+    }
 }
 
 fn prep_on_solves(matching: bool) -> Vec<SolveRow> {

@@ -161,8 +161,8 @@ fn weighted_component_branching_stays_exact() {
     }
 }
 
-/// Weighted mode composes with the pruning extension (the matching
-/// lower bound runs in weight units).
+/// Weighted mode composes with the matching lower bound (on by
+/// default; it runs in weight units).
 #[test]
 fn weighted_extensions_stay_exact() {
     for seed in 0..4u64 {
@@ -170,7 +170,6 @@ fn weighted_extensions_stay_exact() {
         let (opt, _) = weighted_brute_force(&g);
         let r = Solver::builder()
             .algorithm(Algorithm::Sequential)
-            .extensions(parvc::core::Extensions::ALL)
             .weighted()
             .build()
             .solve_mvc(&g);
