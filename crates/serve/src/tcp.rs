@@ -9,12 +9,19 @@
 //! in order; responses for `LOAD`/`SOLVE`/`RESOLVE`/`STATS`/`EVICT`
 //! come back on the same connection, one line each. A `QUIT` line
 //! closes the connection; blank lines and `#` comments are ignored.
+//! A request line longer than [`MAX_LINE_BYTES`] gets one error line,
+//! and then the connection is closed.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use crate::proto::err_line;
 use crate::server::Server;
+
+/// The longest request line a connection reads, newline excluded
+/// (1 MiB).
+pub const MAX_LINE_BYTES: u64 = 1 << 20;
 
 /// Serves `server` on `listener` until `stop` becomes true, handling
 /// at most `workers` connections at a time. Returns the number of
@@ -53,19 +60,44 @@ pub fn serve_listener(
 }
 
 /// Runs one connection to completion: read request lines, write one
-/// response line per request, stop at EOF or `QUIT`.
+/// response line per request, stop at EOF or `QUIT`. A line longer
+/// than [`MAX_LINE_BYTES`] is not read to its end: it is answered with
+/// one error line and ends the connection.
 pub fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().eq_ignore_ascii_case("QUIT") {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES + 1)
+            .read_until(b'\n', &mut buf)?;
+        if read == 0 {
             break;
         }
-        if let Some(response) = server.handle(&line) {
+        // Without a newline the line either ends at EOF or hit the cap.
+        let complete = buf.ends_with(b"\n");
+        let response = if complete || read as u64 <= MAX_LINE_BYTES {
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            let line = line.strip_suffix('\n').unwrap_or(line);
+            let line = line.strip_suffix('\r').unwrap_or(line);
+            if line.trim().eq_ignore_ascii_case("QUIT") {
+                break;
+            }
+            server.handle(line)
+        } else {
+            Some(err_line(&format!(
+                "request line longer than {MAX_LINE_BYTES} bytes"
+            )))
+        };
+        if let Some(response) = response {
             writer.write_all(response.as_bytes())?;
             writer.write_all(b"\n")?;
             writer.flush()?;
+        }
+        if !complete {
+            break;
         }
     }
     Ok(())

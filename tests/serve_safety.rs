@@ -325,3 +325,68 @@ fn tcp_round_trip_on_an_ephemeral_port() {
         assert!(served >= 1, "at least our connection was served");
     });
 }
+
+/// A request line over the 1 MiB cap gets one error line and its
+/// connection is closed, without the server reading the line to its
+/// end; a new connection is still answered.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_server_stays_up() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let server = Server::new(ServeConfig::default());
+    let stop = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let serving = scope
+            .spawn(|| parvc::serve::serve_listener(&server, &listener, 2, &stop).expect("serve"));
+        // A failed check must still stop the server, or the scope would
+        // wait for it forever.
+        let checks = catch_unwind(AssertUnwindSafe(|| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .expect("read timeout");
+            let mut writer = stream.try_clone().expect("clone stream");
+            // 2 MiB and no newline. The server stops reading at the cap,
+            // so the write may fail once it closes the connection.
+            let sending = std::thread::spawn(move || {
+                let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+            });
+            let mut reader = BufReader::new(stream);
+            let mut response = String::new();
+            reader
+                .read_line(&mut response)
+                .expect("receive the refusal");
+            let refused = parse(&response).unwrap_or_else(|e| panic!("bad refusal: {e}"));
+            assert!(!is_true(&refused, "ok"), "{response}");
+            let mut rest = String::new();
+            assert!(
+                matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+                "the connection must be closed after the refusal, got '{rest}'"
+            );
+            sending.join().expect("sender");
+
+            let stream = TcpStream::connect(addr).expect("reconnect");
+            let mut writer = stream.try_clone().expect("clone stream");
+            let mut reader = BufReader::new(stream);
+            writeln!(writer, "STATS").expect("send");
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("receive");
+            let stats = parse(&response).unwrap_or_else(|e| panic!("bad STATS answer: {e}"));
+            assert!(is_true(&stats, "ok"), "{response}");
+            writeln!(writer, "QUIT").expect("quit");
+        }));
+
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        serving.join().expect("serving thread");
+        if let Err(failure) = checks {
+            resume_unwind(failure);
+        }
+    });
+}
