@@ -114,7 +114,7 @@ pub struct Cell {
 /// A solver builder for one implementation under the harness settings.
 /// It pins [`Extensions::NONE`], the paper's bounds alone, so the
 /// reproduced tables and figures stay comparable with the paper.
-pub fn builder(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> SolverBuilder {
+pub(crate) fn builder(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> SolverBuilder {
     let algorithm = match imp {
         Impl::Sequential => Algorithm::Sequential,
         Impl::StackOnly => Algorithm::StackOnly {
@@ -133,8 +133,8 @@ pub fn builder(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> Solve
         .extensions(Extensions::NONE)
 }
 
-/// Builds a solver for one implementation under the harness settings
-/// (see [`builder`]).
+/// Builds a solver for one implementation under the harness settings,
+/// with the paper's bounds alone.
 pub fn make_solver(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> Solver {
     builder(imp, args, deadline).build()
 }

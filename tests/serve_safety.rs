@@ -352,10 +352,12 @@ fn an_over_long_request_line_is_refused_and_the_server_stays_up() {
                 .set_read_timeout(Some(std::time::Duration::from_secs(10)))
                 .expect("read timeout");
             let mut writer = stream.try_clone().expect("clone stream");
-            // 2 MiB and no newline. The server stops reading at the cap,
-            // so the write may fail once it closes the connection.
+            // Twice the cap and no newline. The server stops reading at
+            // the cap, so the write may fail once it closes the
+            // connection.
+            let line = vec![b'x'; 2 * parvc::serve::tcp::MAX_LINE_BYTES as usize];
             let sending = std::thread::spawn(move || {
-                let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+                let _ = writer.write_all(&line);
             });
             let mut reader = BufReader::new(stream);
             let mut response = String::new();
