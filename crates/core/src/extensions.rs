@@ -73,11 +73,12 @@ impl Default for Extensions {
 }
 
 impl<'a> Kernel<'a> {
-    /// The stopping condition, strengthened by the matching lower bound
-    /// when enabled. Replaces bare `bound.prune(node)` in the traversal
-    /// loops.
-    /// `scratch` provides the bound phase's endpoint flags (reused
-    /// across nodes — no allocation on the hot path).
+    /// The stopping condition, strengthened by a lower bound on the
+    /// residual when enabled: the greedy matching in MVC and PVC, the
+    /// edge packing in weighted MVC. Replaces bare `bound.prune(node)`
+    /// in the traversal loops.
+    /// `scratch` provides the bound phase's endpoint flags and residual
+    /// capacities (reused across nodes — no allocation on the hot path).
     pub fn prune(&self, node: &TreeNode, bound: SearchBound, scratch: &mut BlockScratch) -> bool {
         if bound.prune(node) {
             return true;
@@ -85,20 +86,17 @@ impl<'a> Kernel<'a> {
         if !self.ext.matching_lower_bound || node.is_edgeless() {
             return false;
         }
-        // The matching size that proves the node hopeless. `bound.prune`
-        // passed, so the budgets below do not underflow.
+        // What the residual bound must reach to prove the node
+        // hopeless. `bound.prune` passed, so the budgets below do not
+        // underflow.
         let need = match bound {
             SearchBound::Mvc { best } => u64::from(best - node.cover_size()),
             SearchBound::Pvc { k } => u64::from(k - node.cover_size()) + 1,
-            // Weight units: each matched edge needs a cover vertex
-            // costing at least its cheaper endpoint, and matched edges
-            // are disjoint, so the minima sum. A cardinality cap does not
-            // bound that sum, so weighted mode always scans.
+            // Weight units. A cardinality cap does not bound a weight
+            // sum, so weighted mode always scans.
             SearchBound::WeightedMvc { best } => {
-                return node
-                    .cover_weight()
-                    .saturating_add(self.residual_weighted_matching_bound(node, scratch))
-                    >= best;
+                let need = best - node.cover_weight();
+                return self.residual_packing_bound(node, scratch, need) >= need;
             }
         };
         // A matching has at most one edge per live edge and one per two
@@ -106,42 +104,82 @@ impl<'a> Kernel<'a> {
         let cap = node
             .num_edges()
             .min(u64::from(node.len() - node.cover_size()) / 2);
-        cap >= need && self.residual_matching_bound(node, scratch) >= need
+        cap >= need && self.residual_matching_bound(node, scratch, need) >= need
     }
 
     /// Size of a greedy maximal matching of the intermediate graph —
     /// every completion of `S` needs at least this many more vertices.
-    pub fn residual_matching_bound(&self, node: &TreeNode, scratch: &mut BlockScratch) -> u64 {
-        let matched = scratch.matched_for(node.len() as usize);
-        let mut size = 0u64;
-        for u in 0..node.len() {
-            if matched[u as usize] || node.degree(u) <= 0 {
-                continue;
-            }
-            for &v in self.graph.neighbors(u) {
-                if v > u && !matched[v as usize] && !node.is_removed(v) {
-                    matched[u as usize] = true;
-                    matched[v as usize] = true;
-                    size += 1;
-                    break;
-                }
-            }
-        }
-        size
-    }
-
-    /// Weighted analogue of
-    /// [`residual_matching_bound`](Self::residual_matching_bound):
-    /// every completion of `S` pays
-    /// at least the cheaper endpoint of each greedily matched residual
-    /// edge (see [`parvc_graph::matching::min_weight_matching_bound`]).
-    pub fn residual_weighted_matching_bound(
+    /// The scan stops once the size reaches `stop_at`, which is all a
+    /// threshold test needs; `u64::MAX` gives the full size.
+    pub fn residual_matching_bound(
         &self,
         node: &TreeNode,
         scratch: &mut BlockScratch,
+        stop_at: u64,
     ) -> u64 {
-        let matched = scratch.matched_for(node.len() as usize);
-        let mut weight = 0u64;
+        let mut size = 0u64;
+        self.greedy_matching(node, scratch.matched_for(node.len() as usize), |_, _| {
+            size += 1;
+            size >= stop_at
+        });
+        size
+    }
+
+    /// Value of a maximal edge packing of the intermediate graph: edge
+    /// duals `y_uv ≥ 0` whose sum at each vertex stays within its
+    /// weight. Every completion of `S` pays at least `Σ y` more, by
+    /// weak LP duality: each cover vertex's weight pays for the duals
+    /// of its edges, and every edge has an endpoint in the cover.
+    ///
+    /// The packing starts from the greedy matching of
+    /// [`residual_matching_bound`](Self::residual_matching_bound),
+    /// each matched edge taking its cheaper endpoint's weight, so it is
+    /// never below that matching's weighted bound
+    /// ([`parvc_graph::matching::min_weight_matching_bound`]). A second
+    /// pass then raises every live edge's dual to
+    /// `min(res(u), res(v))` from the residual capacities in `scratch`,
+    /// the Bar-Yehuda–Even step of
+    /// [`parvc_graph::matching::primal_dual_cover`]. Both passes stop
+    /// once the sum reaches `stop_at`; `u64::MAX` gives the full value.
+    pub fn residual_packing_bound(
+        &self,
+        node: &TreeNode,
+        scratch: &mut BlockScratch,
+        stop_at: u64,
+    ) -> u64 {
+        let (matched, res) = scratch.packing_for(node.len() as usize, self.graph.weights());
+        let mut packed = 0u64;
+        if self.greedy_matching(node, matched, |u, v| {
+            raise(res, &mut packed, u, v) >= stop_at
+        }) {
+            return packed;
+        }
+        for u in 0..node.len() {
+            if node.degree(u) <= 0 {
+                continue;
+            }
+            for &v in self.graph.neighbors(u) {
+                if res[u as usize] == 0 {
+                    break;
+                }
+                if v > u && !node.is_removed(v) && raise(res, &mut packed, u, v) >= stop_at {
+                    return packed;
+                }
+            }
+        }
+        packed
+    }
+
+    /// The greedy maximal matching both bounds start from: each live,
+    /// unmatched vertex, in id order, takes its first live, unmatched
+    /// neighbor above it. Calls `on_match(u, v)` per matched edge and
+    /// stops as soon as it returns `true`, returning whether it did.
+    fn greedy_matching(
+        &self,
+        node: &TreeNode,
+        matched: &mut [bool],
+        mut on_match: impl FnMut(u32, u32) -> bool,
+    ) -> bool {
         for u in 0..node.len() {
             if matched[u as usize] || node.degree(u) <= 0 {
                 continue;
@@ -150,18 +188,32 @@ impl<'a> Kernel<'a> {
                 if v > u && !matched[v as usize] && !node.is_removed(v) {
                     matched[u as usize] = true;
                     matched[v as usize] = true;
-                    weight += self.graph.weight(u).min(self.graph.weight(v));
+                    if on_match(u, v) {
+                        return true;
+                    }
                     break;
                 }
             }
         }
-        weight
+        false
     }
+}
+
+/// Raises edge `uv`'s dual by `min(res(u), res(v))`, paying it out of
+/// both endpoints' residual capacities; returns the packing's new sum.
+fn raise(res: &mut [u64], packed: &mut u64, u: u32, v: u32) -> u64 {
+    let y = res[u as usize].min(res[v as usize]);
+    res[u as usize] -= y;
+    res[v as usize] -= y;
+    *packed += y;
+    *packed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute::weighted_brute_force;
+    use parvc_graph::matching::min_weight_matching_bound;
     use parvc_graph::{gen, CsrGraph};
     use parvc_simgpu::CostModel;
 
@@ -181,14 +233,14 @@ mod tests {
         let mut scratch = BlockScratch::new();
         let k = kernel(&c6, &cost, Extensions::NONE);
         assert_eq!(
-            k.residual_matching_bound(&TreeNode::root(&c6), &mut scratch),
+            k.residual_matching_bound(&TreeNode::root(&c6), &mut scratch, u64::MAX),
             3
         );
         // Star: one matched edge regardless of leaves.
         let star = gen::star(9);
         let k = kernel(&star, &cost, Extensions::NONE);
         assert_eq!(
-            k.residual_matching_bound(&TreeNode::root(&star), &mut scratch),
+            k.residual_matching_bound(&TreeNode::root(&star), &mut scratch, u64::MAX),
             1
         );
     }
@@ -201,7 +253,7 @@ mod tests {
         let mut node = TreeNode::root(&g);
         node.remove_into_cover(&g, 2); // splits into two disjoint edges
         assert_eq!(
-            k.residual_matching_bound(&node, &mut BlockScratch::new()),
+            k.residual_matching_bound(&node, &mut BlockScratch::new(), u64::MAX),
             2
         );
     }
@@ -224,9 +276,13 @@ mod tests {
         );
     }
 
-    /// `prune` skips the scan where it cannot fire; on random graphs,
-    /// random partial covers and every MVC `best` and PVC `k` up to
-    /// `|V| + 1`, its verdict must equal the unconditional check.
+    /// `prune` skips the scan where it cannot fire and stops it at the
+    /// threshold; on random weighted graphs and random partial covers,
+    /// for every MVC `best` and PVC `k` up to `|V| + 1` and every
+    /// weighted `best` up to the total weight + 1, its verdict must
+    /// equal the full computation. The full packing must lie between
+    /// the greedy matching's weighted bound on the residual and the
+    /// residual's optimum.
     #[test]
     fn skipping_the_scan_never_changes_the_verdict() {
         let cost = CostModel::default();
@@ -239,9 +295,13 @@ mod tests {
             state.is_multiple_of(3)
         };
         let mut verdicts = [0u32; 2];
+        let mut weighted_verdicts = [0u32; 2];
+        let mut packing_gains = 0;
         for seed in 0..60u64 {
             let n = 2 + (seed % 23) as u32;
             let g = gen::gnp(n, [0.1, 0.3, 0.7][seed as usize % 3], seed);
+            let g = gen::with_uniform_weights(g, 10, seed);
+            let total = g.cover_weight(&g.vertices().collect::<Vec<_>>());
             let k = kernel(&g, &cost, Extensions::default());
             for _ in 0..6 {
                 let mut node = TreeNode::root(&g);
@@ -251,7 +311,7 @@ mod tests {
                     }
                 }
                 let cover = u64::from(node.cover_size());
-                let matching = k.residual_matching_bound(&node, &mut scratch);
+                let matching = k.residual_matching_bound(&node, &mut scratch, u64::MAX);
                 for t in 0..=n + 1 {
                     let mvc = SearchBound::Mvc { best: t };
                     let mvc_want = mvc.prune(&node) || cover + matching >= u64::from(t);
@@ -263,8 +323,45 @@ mod tests {
                         verdicts[usize::from(mvc_want)] += 1;
                     }
                 }
+
+                let packing = k.residual_packing_bound(&node, &mut scratch, u64::MAX);
+                for t in 0..=total + 1 {
+                    let wmvc = SearchBound::WeightedMvc { best: t };
+                    let want = wmvc.prune(&node) || node.cover_weight() + packing >= t;
+                    assert_eq!(k.prune(&node, wmvc, &mut scratch), want, "{wmvc:?}");
+                    if !wmvc.prune(&node) {
+                        weighted_verdicts[usize::from(want)] += 1;
+                    }
+                }
+                let residual = residual_graph(&g, &node);
+                let matched = min_weight_matching_bound(&residual);
+                assert!(matched <= packing, "seed {seed}: {matched} > {packing}");
+                packing_gains += u32::from(matched < packing);
+                // The oracle enumerates 2^n subsets.
+                if n <= 16 {
+                    let opt = weighted_brute_force(&residual).0;
+                    assert!(packing <= opt, "seed {seed}: {packing} > {opt}");
+                }
             }
         }
         assert!(verdicts.iter().all(|&n| n > 0), "{verdicts:?}");
+        assert!(
+            weighted_verdicts.iter().all(|&n| n > 0),
+            "{weighted_verdicts:?}"
+        );
+        assert!(packing_gains > 0, "the packing never beat the matching");
+    }
+
+    /// The live edges of `node` as a graph on the same vertex ids and
+    /// weights: its greedy matching is the one the node scan builds.
+    fn residual_graph(g: &CsrGraph, node: &TreeNode) -> CsrGraph {
+        let edges: Vec<(u32, u32)> = g
+            .edges()
+            .filter(|&(u, v)| !node.is_removed(u) && !node.is_removed(v))
+            .collect();
+        CsrGraph::from_edges(g.num_vertices(), &edges)
+            .unwrap()
+            .with_weights(g.vertices().map(|v| g.weight(v)).collect())
+            .unwrap()
     }
 }

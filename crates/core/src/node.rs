@@ -58,6 +58,13 @@ impl TreeNode {
         self.degrees[v as usize]
     }
 
+    /// The whole degree array: each slot is a live degree or
+    /// [`REMOVED`]. For flat passes that fold over every vertex.
+    #[inline]
+    pub fn degrees(&self) -> &[i32] {
+        &self.degrees
+    }
+
     /// Whether `v` has been removed into the cover.
     #[inline]
     pub fn is_removed(&self, v: VertexId) -> bool {

@@ -66,7 +66,14 @@ impl<'a> Kernel<'a> {
 
     /// Finds the live vertex with maximum degree (smallest id wins
     /// ties), via a parallel reduction tree over the degree array.
-    /// Returns `None` only for a zero-vertex graph.
+    /// Returns `None` when no vertex is live.
+    ///
+    /// Two flat passes: a branch-free maximum, which the compiler
+    /// vectorizes, then the first slot holding it. [`REMOVED`] is
+    /// below every live degree, so a negative maximum means no live
+    /// vertex.
+    ///
+    /// [`REMOVED`]: crate::REMOVED
     pub fn find_max_degree(
         &self,
         node: &crate::TreeNode,
@@ -77,18 +84,15 @@ impl<'a> Kernel<'a> {
             self.cost
                 .reduction_tree(node.len() as u64, self.block_size, self.variant),
         );
-        let mut best: Option<(i32, VertexId)> = None;
-        for v in 0..node.len() {
-            let d = node.degree(v);
-            if d < 0 {
-                continue;
-            }
-            match best {
-                Some((bd, _)) if bd >= d => {}
-                _ => best = Some((d, v)),
-            }
+        let degrees = node.degrees();
+        let max = degrees.iter().copied().fold(crate::REMOVED, i32::max);
+        if max < 0 {
+            return None;
         }
-        best.map(|(_, v)| v)
+        degrees
+            .iter()
+            .position(|&d| d == max)
+            .map(|v| v as VertexId)
     }
 
     /// Removes a single vertex into the cover (Figure 4 lines 27–28 when
@@ -188,6 +192,48 @@ mod tests {
         let v = k.find_max_degree(&node, &mut c).unwrap();
         assert_ne!(v, 0);
         assert_eq!(node.degree(v), 0);
+    }
+
+    /// The two-pass fold against a naive scan on random partial covers,
+    /// up to covers of every vertex: ties go to the smallest id, an
+    /// edgeless live vertex is still returned, and no live vertex
+    /// gives `None`.
+    #[test]
+    fn find_max_matches_a_naive_scan() {
+        let cost = CostModel::default();
+        let mut c = BlockCounters::new(0);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut seen = [false; 3];
+        for seed in 0..40u64 {
+            let n = 1 + (seed % 17) as u32;
+            let g = gen::gnp(n, [0.15, 0.4, 0.8][seed as usize % 3], seed);
+            let k = kernel(&g, &cost);
+            for keep in [3u64, 2, 1, 0] {
+                let mut node = TreeNode::root(&g);
+                for v in 0..n {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if state % 4 >= keep {
+                        node.remove_into_cover(&g, v);
+                    }
+                }
+                let mut naive: Option<(i32, u32)> = None;
+                for v in (0..n).filter(|&v| !node.is_removed(v)) {
+                    if naive.is_none_or(|(d, _)| node.degree(v) > d) {
+                        naive = Some((node.degree(v), v));
+                    }
+                }
+                let got = k.find_max_degree(&node, &mut c);
+                assert_eq!(got, naive.map(|(_, v)| v), "seed {seed} keep {keep}");
+                seen[match naive {
+                    None => 0,
+                    Some((0, _)) => 1,
+                    Some(_) => 2,
+                }] = true;
+            }
+        }
+        assert_eq!(seen, [true; 3], "none / edgeless / live edges");
     }
 
     #[test]

@@ -96,6 +96,9 @@ impl<'a> Kernel<'a> {
             self.cost
                 .parallel_op(node.len() as u64, self.block_size, self.variant),
         );
+        if !any_degree(node, |d| d == 1) {
+            return false;
+        }
         gather_indices(
             self.exec,
             node.len() as usize,
@@ -145,6 +148,9 @@ impl<'a> Kernel<'a> {
             self.cost
                 .parallel_op(node.len() as u64, self.block_size, self.variant),
         );
+        if !any_degree(node, |d| d == 2) {
+            return false;
+        }
         gather_indices(
             self.exec,
             node.len() as usize,
@@ -213,6 +219,11 @@ impl<'a> Kernel<'a> {
         let Some(threshold) = bound.high_degree_threshold(bound.node_cost(node)) else {
             return false;
         };
+        // A threshold past every `i32` degree admits no vertex.
+        let t = i32::try_from(threshold).unwrap_or(i32::MAX);
+        if !any_degree(node, |d| d > t) {
+            return false;
+        }
         gather_indices(
             self.exec,
             node.len() as usize,
@@ -236,6 +247,15 @@ impl<'a> Kernel<'a> {
         }
         changed
     }
+}
+
+/// Whether any slot of the degree array satisfies `pred`. A round
+/// runs this before its gather so that a round with nothing to apply
+/// skips it: one branch-free fold, which the compiler vectorizes,
+/// against a gather that branches per vertex. The round's classify
+/// charge covers it.
+fn any_degree(node: &TreeNode, pred: impl Fn(i32) -> bool) -> bool {
+    node.degrees().iter().fold(false, |any, &d| any | pred(d))
 }
 
 #[cfg(test)]

@@ -27,6 +27,9 @@ pub struct BlockScratch {
     pub slots: ChunkSlots,
     /// Bound-phase endpoint flags for the residual matching bound.
     pub matched: Vec<bool>,
+    /// Bound-phase residual vertex capacities for the weighted bound's
+    /// edge packing.
+    pub residual: Vec<u64>,
 }
 
 impl BlockScratch {
@@ -42,5 +45,18 @@ impl BlockScratch {
         self.matched.clear();
         self.matched.resize(n, false);
         &mut self.matched
+    }
+
+    /// `matched` as [`matched_for`](Self::matched_for) leaves it, and
+    /// `residual` holding the `n` vertex weights (all 1 when `weights`
+    /// is `None`): the state the weighted bound's packing starts from.
+    pub fn packing_for(&mut self, n: usize, weights: Option<&[u64]>) -> (&mut [bool], &mut [u64]) {
+        self.matched_for(n);
+        self.residual.clear();
+        match weights {
+            Some(w) => self.residual.extend_from_slice(w),
+            None => self.residual.resize(n, 1),
+        }
+        (&mut self.matched, &mut self.residual)
     }
 }
