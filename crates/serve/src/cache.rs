@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use parvc_bench::json::{self, obj, Value};
@@ -97,6 +98,7 @@ pub struct ResultCache {
     hits: u64,
     misses: u64,
     evictions: u64,
+    persist_failures: u64,
 }
 
 impl ResultCache {
@@ -110,6 +112,7 @@ impl ResultCache {
             hits: 0,
             misses: 0,
             evictions: 0,
+            persist_failures: 0,
         }
     }
 
@@ -157,6 +160,12 @@ impl ResultCache {
     /// [`clear`]: ResultCache::clear
     pub fn evictions(&self) -> u64 {
         self.evictions
+    }
+
+    /// Lifetime count of persistence writes that failed (the cache
+    /// file was left as it was).
+    pub fn persist_failures(&self) -> u64 {
+        self.persist_failures
     }
 
     /// Looks up `key`, counting a hit or miss and refreshing recency.
@@ -285,11 +294,24 @@ impl ResultCache {
         }
     }
 
-    fn persist(&self) {
-        if let Some(path) = &self.path {
-            // Best-effort: a failed write degrades to an in-memory
-            // cache rather than failing the request that solved.
-            let _ = std::fs::write(path, self.to_json().to_pretty());
+    /// Rewrites the cache file: the document goes to `<path>.tmp`,
+    /// reaches the disk, and is renamed over `<path>`, so a crash
+    /// mid-write leaves the previous file whole. Best-effort: a failed
+    /// write is counted and degrades to an in-memory cache rather than
+    /// failing the request that solved.
+    fn persist(&mut self) {
+        let Some(path) = &self.path else { return };
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(self.to_json().to_pretty().as_bytes())?;
+                f.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if written.is_err() {
+            self.persist_failures += 1;
         }
     }
 }

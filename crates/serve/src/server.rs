@@ -703,6 +703,7 @@ impl Server {
             ("hits", Value::Num(cache.hits())),
             ("misses", Value::Num(cache.misses())),
             ("evictions", Value::Num(cache.evictions())),
+            ("persist_failures", Value::Num(cache.persist_failures())),
         ]);
         drop(cache);
         let counters = self.counters.lock().unwrap();

@@ -8,7 +8,8 @@
 //! * cache keys are content, not names: the same graph loaded from a
 //!   DIMACS file and from a generator spec shares one cache entry;
 //! * LRU eviction and the disk persistence round trip — a restarted
-//!   server answers from yesterday's cache file;
+//!   server answers from yesterday's cache file, and a cache file that
+//!   cannot be written only counts failures;
 //! * overload shedding returns certified 2-approximations: valid
 //!   covers within 2× of the brute-force optimum, with sound lower
 //!   bounds (the oracle contract `tests/approx_safety.rs` pins for
@@ -162,6 +163,7 @@ fn eviction_and_disk_persistence_round_trip() {
         let cache = stats.get("cache").expect("cache object");
         assert_eq!(num(cache, "entries"), 2, "capacity 2 holds 2 entries");
         assert_eq!(num(cache, "evictions"), 1, "third insert evicted the LRU");
+        assert_eq!(num(cache, "persist_failures"), 0, "every write landed");
         let again = handle(&server, "SOLVE a");
         assert!(!is_true(&again, "cached"), "evicted entry must re-miss");
     }
@@ -179,7 +181,43 @@ fn eviction_and_disk_persistence_round_trip() {
         first_cover,
         "the persisted cover must round-trip bit for bit"
     );
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
+    assert!(
+        !std::path::Path::new(&tmp).exists(),
+        "the temporary file is renamed over the cache file"
+    );
     std::fs::remove_file(&path).ok();
+}
+
+/// A cache file that cannot be written, because its directory does not
+/// exist: the server keeps answering from memory, and each failed
+/// write counts in `STATS`.
+#[test]
+fn a_cache_file_that_cannot_be_written_counts_its_failures() {
+    let path = temp_path("missing-dir").join("cache.json");
+    let server = Server::new(ServeConfig {
+        cache_path: Some(path.clone()),
+        ..ServeConfig::default()
+    });
+    let failures = |server: &Server| {
+        let stats = handle(server, "STATS");
+        num(
+            stats.get("cache").expect("cache object"),
+            "persist_failures",
+        )
+    };
+    assert_eq!(failures(&server), 0);
+    handle(&server, "LOAD a gnp:30:0.15@1");
+    let miss = handle(&server, "SOLVE a");
+    assert_eq!(failures(&server), 1, "the insert's write failed");
+    let hit = handle(&server, "SOLVE a");
+    assert!(is_true(&hit, "cached"), "the entry stays in memory");
+    assert_eq!(cover(&hit), cover(&miss));
+    handle(&server, "LOAD b gnp:30:0.15@2");
+    handle(&server, "SOLVE b");
+    assert_eq!(failures(&server), 2, "every failed write counts");
+    assert!(!path.exists());
 }
 
 #[test]
