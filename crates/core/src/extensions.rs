@@ -11,15 +11,21 @@
 //!   bound. Strictly stronger than the paper's edge-count test on
 //!   sparse residuals. On by default ([`Extensions::default`]);
 //!   [`Extensions::NONE`] is the paper's bounds alone.
+//! * **Edge-packing lower bound** (weighted MVC, same flag) — the
+//!   matching, each matched edge worth its cheaper endpoint, extended
+//!   to a maximal edge packing: the LP dual that the Bar-Yehuda–Even
+//!   primal-dual pass builds. By weak duality every completion pays at
+//!   least the packing's value, which is never below the matching's.
 //!
 //! The greedy matching costs a scan of the residual, so it is skipped
 //! at nodes where it cannot fire: a matching has at most
 //! `min(|E'|, ⌊(|V| − |S|) / 2⌋)` edges, and when `|S|` plus that many
-//! still misses the bound, the scan would not prune either. The skip
-//! changes no answer, tree or counter.
+//! still misses the bound, the scan would not prune either. A scan that
+//! runs stops as soon as it reaches the pruning threshold, since its
+//! sum only grows. Neither shortcut changes an answer, tree or counter.
 //!
-//! The bound is not charged to the Figure 6 activity accounting — it
-//! is deliberately outside the paper's instrumentation so the
+//! The bounds are not charged to the Figure 6 activity accounting —
+//! they are deliberately outside the paper's instrumentation so the
 //! reproduced breakdown stays comparable.
 
 use crate::bound::SearchBound;
@@ -33,7 +39,8 @@ use crate::TreeNode;
 /// paper-faithful configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extensions {
-    /// Prune with a greedy maximal-matching lower bound.
+    /// Prune with a greedy maximal-matching lower bound (an edge
+    /// packing seeded by that matching in weighted MVC).
     pub matching_lower_bound: bool,
     /// Re-split the search at tree nodes whose residual graph has
     /// disconnected (see [`crate::split`]). `None` = off.

@@ -41,8 +41,10 @@ impl<'a> Kernel<'a> {
     /// [`ParallelExecutor`](parvc_simgpu::exec::ParallelExecutor) —
     /// this is the reduce-fixpoint degree scan, the hottest flat pass
     /// in the engine), then a serial **apply** pass walks the buffer
-    /// in ascending id with the liveness recheck. `scratch` holds the
-    /// per-block delta buffers, reused across rounds and tree nodes.
+    /// in ascending id with the liveness recheck. A round whose rule
+    /// no vertex qualifies for ends after one fold over the degree
+    /// array, before the gather. `scratch` holds the per-block delta
+    /// buffers, reused across rounds and tree nodes.
     pub fn reduce(
         &self,
         node: &mut TreeNode,
