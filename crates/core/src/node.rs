@@ -106,6 +106,14 @@ impl TreeNode {
     ///
     /// This is the *mechanism* shared by branching and every reduction
     /// rule; callers charge its cost to the appropriate activity.
+    ///
+    /// Every neighbor slot is written, the way the paper's block
+    /// threads decrement the neighbors together (§IV-B): a live slot
+    /// loses one and a [`REMOVED`] slot subtracts zero and keeps the
+    /// sentinel. On dense graphs about half the neighbors are removed,
+    /// so a branch on liveness would be mispredicted about half the
+    /// time; the unconditional store has no branch to mispredict and
+    /// leaves every slot as the conditional one did.
     pub fn remove_into_cover(&mut self, g: &CsrGraph, v: VertexId) -> u32 {
         let d = self.degrees[v as usize];
         debug_assert!(d >= 0, "removing already-removed vertex {v}");
@@ -116,9 +124,7 @@ impl TreeNode {
         if d > 0 {
             for &u in g.neighbors(v) {
                 let du = &mut self.degrees[u as usize];
-                if *du >= 0 {
-                    *du -= 1;
-                }
+                *du -= i32::from(*du >= 0);
             }
         }
         d as u32
@@ -254,6 +260,41 @@ mod tests {
         assert_eq!(n.degree(3), 0); // live but isolated
         assert_eq!(n.cover_vertices(), vec![0, 1, 2]);
         n.check_consistency(&g).unwrap();
+    }
+
+    /// Removes every vertex of random graphs, sparse to dense, weighted
+    /// and not, in random orders. After each removal the node is
+    /// consistent, the returned degree is the live-neighbor count taken
+    /// just before, and no slot falls below the sentinel: a removed
+    /// neighbor keeps [`REMOVED`] however often its neighbors go.
+    #[test]
+    fn removing_every_vertex_in_random_orders_keeps_the_degrees_exact() {
+        for p in [0.1, 0.3, 0.5, 0.7, 0.9] {
+            for seed in 0..4u64 {
+                let plain = gen::gnp(20 + 3 * seed as u32, p, seed);
+                let weighted = gen::with_uniform_weights(plain.clone(), 9, seed);
+                for (i, g) in [plain, weighted].into_iter().enumerate() {
+                    let ctx = format!("p={p} seed={seed} weighted={}", i == 1);
+                    // Sorting by random keys gives a random order.
+                    let keys = gen::uniform_weights(g.num_vertices(), u64::MAX, seed + 100);
+                    let mut order: Vec<VertexId> = g.vertices().collect();
+                    order.sort_by_key(|&v| keys[v as usize]);
+                    let mut n = TreeNode::root(&g);
+                    for &v in &order {
+                        let live = n.live_neighbors(&g, v).count() as u32;
+                        assert_eq!(n.remove_into_cover(&g, v), live, "{ctx}: vertex {v}");
+                        assert!(
+                            n.degrees().iter().all(|&d| d >= REMOVED),
+                            "{ctx}: a slot fell below the sentinel removing {v}"
+                        );
+                        n.check_consistency(&g)
+                            .unwrap_or_else(|e| panic!("{ctx}: removing {v}: {e}"));
+                    }
+                    assert!(n.is_edgeless(), "{ctx}");
+                    assert_eq!(n.cover_size(), g.num_vertices(), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]
