@@ -126,6 +126,9 @@ impl OwnedSession {
 
 struct Instance {
     graph: CsrGraph,
+    /// `graph.content_hash()`, the cache key's hash: computed by LOAD
+    /// and again by each RESOLVE that edits `graph`, never per SOLVE.
+    hash: u64,
     source: String,
     session: Option<OwnedSession>,
 }
@@ -380,15 +383,17 @@ impl Server {
 
     fn do_load(&self, name: &str, instance: &str) -> Result<Vec<(&'static str, Value)>, String> {
         let graph = load_instance(instance)?;
+        let hash = graph.content_hash();
         let fields = vec![
             ("instance", Value::Str(proto::sanitize(name))),
             ("vertices", Value::Num(u64::from(graph.num_vertices()))),
             ("edges", Value::Num(graph.num_edges())),
             ("weighted", Value::Bool(graph.is_weighted())),
-            ("hash", Value::Str(format!("{:016x}", graph.content_hash()))),
+            ("hash", Value::Str(format!("{hash:016x}"))),
         ];
         let entry = Arc::new(Mutex::new(Instance {
             graph,
+            hash,
             source: instance.to_string(),
             session: None,
         }));
@@ -422,7 +427,7 @@ impl Server {
         }
 
         let key = CacheKey {
-            hash: g.content_hash(),
+            hash: inst.hash,
             objective: if flags.weighted {
                 Objective::Weighted
             } else {
@@ -573,7 +578,7 @@ impl Server {
             // a hit), otherwise by solving once (counted as a miss and
             // cached like any other solve).
             let key = CacheKey {
-                hash: inst.graph.content_hash(),
+                hash: inst.hash,
                 objective: if flags.weighted {
                     Objective::Weighted
                 } else {
@@ -638,10 +643,11 @@ impl Server {
         // The session's graph advanced; keep the registry copy (and
         // the cache) in step so a follow-up SOLVE hits.
         inst.graph = resolved.graph;
+        inst.hash = inst.graph.content_hash();
         if !r.stats.timed_out {
             self.cache.lock().unwrap().insert(
                 CacheKey {
-                    hash: inst.graph.content_hash(),
+                    hash: inst.hash,
                     objective: if flags.weighted {
                         Objective::Weighted
                     } else {

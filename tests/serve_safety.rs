@@ -105,6 +105,68 @@ fn load_solve_hit_resolve_stats_round_trip() {
     assert_eq!(num(requests, "errors"), 0);
 }
 
+/// Each instance keeps the content hash its cache key is built from:
+/// LOAD computes it and each RESOLVE recomputes it for the edited
+/// graph. So a SOLVE after two RESOLVEs hits the second one's entry,
+/// re-LOADing the original spec finds the original entry again, and
+/// the persisted key carries the hash LOAD reported.
+#[test]
+fn the_cache_key_follows_load_and_every_resolve() {
+    let path = temp_path("hash-keys.json");
+    std::fs::remove_file(&path).ok();
+    let server = Server::new(ServeConfig {
+        cache_path: Some(path.clone()),
+        ..ServeConfig::default()
+    });
+    let spec = "gnp:40:0.12@5";
+    let loaded = handle(&server, &format!("LOAD h {spec}"));
+    let hash = loaded
+        .get("hash")
+        .and_then(Value::str)
+        .expect("LOAD reports a hash")
+        .to_string();
+    let original = handle(&server, "SOLVE h");
+    assert!(!is_true(&original, "cached"));
+
+    handle(&server, "RESOLVE h --edits gen:4:0.5@1");
+    let second = handle(&server, "RESOLVE h --edits gen:4:0.5@2");
+    let after = handle(&server, "SOLVE h");
+    assert!(
+        is_true(&after, "cached"),
+        "a SOLVE after two RESOLVEs must hit the second one's entry"
+    );
+    assert_eq!(cover(&after), cover(&second));
+
+    handle(&server, &format!("LOAD h {spec}"));
+    let back = handle(&server, "SOLVE h");
+    assert!(
+        is_true(&back, "cached"),
+        "re-LOADing the original spec must find the original entry"
+    );
+    assert_eq!(cover(&back), cover(&original));
+
+    let stats = handle(&server, "STATS");
+    let cache = stats.get("cache").expect("cache object");
+    // The original graph and the graph after each RESOLVE.
+    assert_eq!(num(cache, "entries"), 3);
+    assert_eq!(num(cache, "misses"), 1);
+
+    let text = std::fs::read_to_string(&path).expect("the cache file was written");
+    let doc = parse(&text).expect("the cache file parses");
+    let keys: Vec<&str> = doc
+        .get("entries")
+        .and_then(Value::arr)
+        .expect("persisted entries")
+        .iter()
+        .filter_map(|e| e.get("key").and_then(Value::str))
+        .collect();
+    assert!(
+        keys.contains(&format!("{hash}:mvc").as_str()),
+        "the persisted keys {keys:?} must carry LOAD's hash {hash}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn file_and_spec_share_one_cache_entry() {
     let spec = "components:60:6:0.5@11";
