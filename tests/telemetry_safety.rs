@@ -12,16 +12,22 @@
 //! per-block `BlockCounters` and `SplitCounters` — across every
 //! policy, with and without preprocessing, under both executors.
 //!
-//! The one multi-block arm solves a kernel of tiny components at
-//! grid 2, where the solver's component pool searches components on
-//! two threads at once. Each component search is a single block, so
-//! the counters stay deterministic, and the spans of concurrent
-//! searches must land on their own blocks' tracks. A kernel of two
-//! tiny components must stay on the calling thread at grid 2.
+//! The weighted objective and the incremental re-solve session record
+//! through the same sink and are held to the same contract: a weighted
+//! MVC solve and one `ResolveSession` edit batch per objective.
+//!
+//! The multi-block arms solve a kernel of tiny components at grid 2,
+//! where the solver's component pool searches components on two
+//! threads at once. Each component search is a single block, so the
+//! counters stay deterministic, and the spans of concurrent searches
+//! must land on their own blocks' tracks. A kernel of two tiny
+//! components must stay on the calling thread at grid 2.
 
-use parvc::core::{Algorithm, ExecutorSpec, MvcResult, Solver, SolverBuilder, TelemetryConfig};
+use parvc::core::{
+    Algorithm, ExecutorSpec, MvcResult, Resolved, Solver, SolverBuilder, TelemetryConfig,
+};
 use parvc::graph::gen;
-use parvc::graph::CsrGraph;
+use parvc::graph::{CsrGraph, EditScript};
 use parvc::obs::{Lane, SpanRecord};
 use parvc::prep::PrepConfig;
 use parvc::simgpu::counters::{Activity, BlockCounters, SplitCounters};
@@ -136,6 +142,77 @@ fn full_sink_never_perturbs_the_solve() {
                     assert!(on.stats.telemetry.is_some(), "{ctx}: missing snapshot");
                     assert_eq!(fingerprint(&off), fingerprint(&on), "{ctx}");
                 }
+            }
+        }
+    }
+}
+
+/// One MVC solve, then `edits` through a `ResolveSession` seeded with
+/// its result.
+fn solve_then_resolve(b: SolverBuilder, g: &CsrGraph, edits: &EditScript) -> (MvcResult, Resolved) {
+    let solver = b.build();
+    let solved = solver.solve_mvc(g);
+    let resolved = solver
+        .resolve_session(g, &solved)
+        .resolve(edits)
+        .expect("a generated edit script applies");
+    (solved, resolved)
+}
+
+/// The weighted and re-solve paths under a full recording sink: for
+/// each objective (cardinality and weighted), an MVC solve and one
+/// edit batch through the re-solve session, telemetry off vs on,
+/// under every policy. Grid 1 runs the corpus with prep off and on.
+/// Grid 2 runs a tiny-component kernel through the component pool;
+/// its batch only deletes, which splits components and never merges
+/// them, so every re-solved component stays in the pool too.
+#[test]
+fn weighted_and_resolve_paths_are_never_perturbed() {
+    let mut arms: Vec<(String, u32, bool, CsrGraph, f64)> = Vec::new();
+    for (gname, g) in corpus() {
+        for prep in [false, true] {
+            let arm = format!("{gname}/grid=1/prep={prep}");
+            arms.push((arm, 1, prep, g.clone(), 0.5));
+        }
+    }
+    let pool = gen::sparse_components(600, 30, 0.3, 5);
+    arms.push(("pool/grid=2/prep=true".to_string(), 2, true, pool, 0.0));
+    for (arm, grid, prep, g, insert_frac) in arms {
+        for weighted in [false, true] {
+            let g = if weighted {
+                gen::with_uniform_weights(g.clone(), 9, 4)
+            } else {
+                g.clone()
+            };
+            let edits = gen::edit_script(&g, 6, insert_frac, 7);
+            for (pname, algorithm) in policies() {
+                let ctx = format!("{arm}/weighted={weighted}/{pname}");
+                let mut b = Solver::builder()
+                    .algorithm(algorithm)
+                    .grid_limit(Some(grid));
+                if prep {
+                    b = b.preprocess(PrepConfig::default());
+                }
+                if weighted {
+                    b = b.weighted();
+                }
+                let (solved, resolved) = solve_then_resolve(b.clone(), &g, &edits);
+                let traced = b.telemetry(TelemetryConfig::default());
+                let (t_solved, t_resolved) = solve_then_resolve(traced, &g, &edits);
+                for (r, t) in [(&solved, &t_solved), (&resolved.result, &t_resolved.result)] {
+                    assert!(r.stats.telemetry.is_none(), "{ctx}: phantom snapshot");
+                    assert!(t.stats.telemetry.is_some(), "{ctx}: missing snapshot");
+                    if grid > 1 {
+                        assert!(r.stats.launch.is_none(), "{ctx}: a component launched");
+                    }
+                }
+                assert_eq!(fingerprint(&solved), fingerprint(&t_solved), "{ctx}: solve");
+                assert_eq!(
+                    fingerprint(&resolved.result),
+                    fingerprint(&t_resolved.result),
+                    "{ctx}: re-solve"
+                );
+                assert_eq!(resolved.stats, t_resolved.stats, "{ctx}: reuse accounting");
             }
         }
     }
