@@ -125,7 +125,7 @@ impl<'a> Kernel<'a> {
         stop_at: u64,
     ) -> u64 {
         let mut size = 0u64;
-        self.greedy_matching(node, scratch.matched_for(node.len() as usize), |_, _| {
+        self.greedy_matching(node, scratch.free_for(node), |_, _| {
             size += 1;
             size >= stop_at
         });
@@ -154,22 +154,20 @@ impl<'a> Kernel<'a> {
         scratch: &mut BlockScratch,
         stop_at: u64,
     ) -> u64 {
-        let (matched, res) = scratch.packing_for(node.len() as usize, self.graph.weights());
+        let (free, res) = scratch.packing_for(node, self.graph.weights());
         let mut packed = 0u64;
-        if self.greedy_matching(node, matched, |u, v| {
-            raise(res, &mut packed, u, v) >= stop_at
-        }) {
+        if self.greedy_matching(node, free, |u, v| raise(res, &mut packed, u, v) >= stop_at) {
             return packed;
         }
         for u in 0..node.len() {
             if node.degree(u) <= 0 {
                 continue;
             }
-            for &v in self.graph.neighbors(u) {
+            for v in node.live_neighbors_above(self.graph, u) {
                 if res[u as usize] == 0 {
                     break;
                 }
-                if v > u && !node.is_removed(v) && raise(res, &mut packed, u, v) >= stop_at {
+                if raise(res, &mut packed, u, v) >= stop_at {
                     return packed;
                 }
             }
@@ -179,31 +177,61 @@ impl<'a> Kernel<'a> {
 
     /// The greedy maximal matching both bounds start from: each live,
     /// unmatched vertex, in id order, takes its first live, unmatched
-    /// neighbor above it. Calls `on_match(u, v)` per matched edge and
-    /// stops as soon as it returns `true`, returning whether it did.
+    /// neighbor above it. `free` starts as the node's live mask and
+    /// loses both endpoints of each matched edge; with
+    /// [`AdjacencyRows`](parvc_graph::AdjacencyRows) the partner is the
+    /// lowest bit of `row & free` above `u`. Calls `on_match(u, v)` per
+    /// matched edge and stops as soon as it returns `true`, returning
+    /// whether it did.
     fn greedy_matching(
         &self,
         node: &TreeNode,
-        matched: &mut [bool],
+        free: &mut [u64],
         mut on_match: impl FnMut(u32, u32) -> bool,
     ) -> bool {
-        for u in 0..node.len() {
-            if matched[u as usize] || node.degree(u) <= 0 {
-                continue;
-            }
-            for &v in self.graph.neighbors(u) {
-                if v > u && !matched[v as usize] && !node.is_removed(v) {
-                    matched[u as usize] = true;
-                    matched[v as usize] = true;
-                    if on_match(u, v) {
-                        return true;
-                    }
-                    break;
+        let rows = self.graph.adjacency_rows();
+        for i in 0..free.len() {
+            let mut us = free[i];
+            while us != 0 {
+                let u = (i * 64) as u32 + us.trailing_zeros();
+                us &= us - 1;
+                if node.degree(u) == 0 {
+                    continue;
+                }
+                let partner = match rows {
+                    Some(rows) => first_free_above(rows.row(u), free, u),
+                    None => self
+                        .graph
+                        .neighbors(u)
+                        .iter()
+                        .copied()
+                        .find(|&v| v > u && free[v as usize / 64] >> (v % 64) & 1 == 1),
+                };
+                let Some(v) = partner else {
+                    continue;
+                };
+                free[i] &= !(1 << (u % 64));
+                free[v as usize / 64] &= !(1 << (v % 64));
+                us &= free[i];
+                if on_match(u, v) {
+                    return true;
                 }
             }
         }
         false
     }
+}
+
+/// The lowest set bit of `row & free` above `u`.
+fn first_free_above(row: &[u64], free: &[u64], u: u32) -> Option<u32> {
+    let first = u as usize / 64;
+    let mut bits = row[first] & free[first] & (u64::MAX << (u % 64) << 1);
+    let mut i = first;
+    while bits == 0 {
+        i += 1;
+        bits = row.get(i)? & free[i];
+    }
+    Some((i * 64) as u32 + bits.trailing_zeros())
 }
 
 /// Raises edge `uv`'s dual by `min(res(u), res(v))`, paying it out of
@@ -357,6 +385,79 @@ mod tests {
             "{weighted_verdicts:?}"
         );
         assert!(packing_gains > 0, "the packing never beat the matching");
+    }
+
+    /// The greedy matching and the packing as CSR walks over the
+    /// degree array, with per-vertex flags: each live, unmatched `u` in
+    /// id order takes its first live, unmatched CSR neighbor above it,
+    /// then the raise pass visits every live edge `u < v` in CSR order.
+    /// Returns the matching's size and the packing's sum after each
+    /// raise.
+    fn naive_scans(g: &CsrGraph, node: &TreeNode) -> (u64, Vec<u64>) {
+        let n = g.num_vertices() as usize;
+        let live = |v: u32| !node.is_removed(v);
+        let mut matched = vec![false; n];
+        let mut res: Vec<u64> = g.vertices().map(|v| g.weight(v)).collect();
+        let (mut size, mut sums, mut sum) = (0, Vec::new(), 0);
+        let mut raise = |res: &mut Vec<u64>, u: u32, v: u32| {
+            let y = res[u as usize].min(res[v as usize]);
+            res[u as usize] -= y;
+            res[v as usize] -= y;
+            sum += y;
+            sums.push(sum);
+        };
+        for u in g.vertices().filter(|&u| live(u) && node.degree(u) > 0) {
+            if matched[u as usize] {
+                continue;
+            }
+            let partner = g
+                .neighbors(u)
+                .iter()
+                .copied()
+                .find(|&v| v > u && live(v) && !matched[v as usize]);
+            if let Some(v) = partner {
+                matched[u as usize] = true;
+                matched[v as usize] = true;
+                size += 1;
+                raise(&mut res, u, v);
+            }
+        }
+        for u in g.vertices().filter(|&u| live(u)) {
+            for &v in g.neighbors(u) {
+                if v > u && live(v) && res[u as usize] > 0 {
+                    raise(&mut res, u, v);
+                }
+            }
+        }
+        (size, sums)
+    }
+
+    /// On both sides of the row threshold and on random partial
+    /// covers, the matching and packing scans return the naive CSR
+    /// walks' values, in full and when stopped at every threshold up
+    /// to one past the full value.
+    #[test]
+    fn bound_scans_match_csr_walks_on_both_sides_of_the_threshold() {
+        let cost = CostModel::default();
+        let mut scratch = BlockScratch::new();
+        for (i, g) in crate::node::testing::graphs().iter().enumerate() {
+            let k = kernel(g, &cost, Extensions::default());
+            for node in crate::node::testing::partial_covers(g, i as u64) {
+                let (size, sums) = naive_scans(g, &node);
+                let packed = sums.last().copied().unwrap_or(0);
+                let ctx = format!("graph {i}, cover {}", node.cover_size());
+                for stop in (0..=size + 1).chain([u64::MAX]) {
+                    let want = (1..=size).find(|&s| s >= stop).unwrap_or(size);
+                    let got = k.residual_matching_bound(&node, &mut scratch, stop);
+                    assert_eq!(got, want, "{ctx}: matching stopped at {stop}");
+                }
+                for stop in (0..=packed + 1).chain([u64::MAX]) {
+                    let want = sums.iter().copied().find(|&s| s >= stop).unwrap_or(packed);
+                    let got = k.residual_packing_bound(&node, &mut scratch, stop);
+                    assert_eq!(got, want, "{ctx}: packing stopped at {stop}");
+                }
+            }
+        }
     }
 
     /// The live edges of `node` as a graph on the same vertex ids and

@@ -116,9 +116,15 @@ impl<'a> Kernel<'a> {
     }
 
     /// Removes all live neighbors of `v` into the cover (Figure 4 lines
-    /// 21–22). Each neighbor is handled by a thread that walks the
-    /// neighbor's own adjacency to decrement degrees, so the charged
-    /// work is the sum of the removed vertices' original degrees.
+    /// 21–22), in ascending order. Each neighbor is handled by a thread
+    /// that walks the neighbor's own adjacency to decrement degrees, so
+    /// the charged work is `Σ (d + 1)` over the removed vertices'
+    /// degrees at their removal.
+    ///
+    /// With [`AdjacencyRows`](parvc_graph::AdjacencyRows) the live
+    /// neighbors come a mask word at a time. Removing one neighbor
+    /// clears only its own live bit, so a word read before its first
+    /// removal still lists the rest.
     pub fn remove_neighbors(
         &self,
         node: &mut crate::TreeNode,
@@ -127,10 +133,23 @@ impl<'a> Kernel<'a> {
         counters: &mut BlockCounters,
     ) {
         let mut updates = 0u64;
-        for i in 0..self.graph.neighbors(v).len() {
-            let u = self.graph.neighbors(v)[i];
-            if !node.is_removed(u) {
-                updates += node.remove_into_cover(self.graph, u) as u64 + 1;
+        match self.graph.adjacency_rows() {
+            Some(rows) => {
+                for (i, &r) in rows.row(v).iter().enumerate() {
+                    let mut bits = r & node.live_word(i);
+                    while bits != 0 {
+                        let u = (i * 64) as VertexId + bits.trailing_zeros();
+                        bits &= bits - 1;
+                        updates += node.remove_into_cover(self.graph, u) as u64 + 1;
+                    }
+                }
+            }
+            None => {
+                for &u in self.graph.neighbors(v) {
+                    if !node.is_removed(u) {
+                        updates += node.remove_into_cover(self.graph, u) as u64 + 1;
+                    }
+                }
             }
         }
         counters.charge(
@@ -275,6 +294,44 @@ mod tests {
         assert_eq!(node.cover_size(), 2);
         assert!(node.is_edgeless());
         node.check_consistency(&g).unwrap();
+    }
+
+    /// On both sides of the row threshold and on random partial
+    /// covers, removing a live vertex's neighbors leaves the degree
+    /// array a naive CSR walk leaves, and charges `Σ (d + 1)` over the
+    /// neighbors' degrees at their removal.
+    #[test]
+    fn remove_neighbors_matches_a_csr_walk_on_both_sides_of_the_threshold() {
+        let cost = CostModel::default();
+        for (i, g) in crate::node::testing::graphs().iter().enumerate() {
+            let k = Kernel::sequential(g, &cost);
+            for node in crate::node::testing::partial_covers(g, i as u64) {
+                for v in g.vertices().filter(|&v| !node.is_removed(v)) {
+                    let mut degrees = node.degrees().to_vec();
+                    let mut updates = 0u64;
+                    for &u in g.neighbors(v) {
+                        if degrees[u as usize] == crate::REMOVED {
+                            continue;
+                        }
+                        updates += degrees[u as usize] as u64 + 1;
+                        degrees[u as usize] = crate::REMOVED;
+                        for &x in g.neighbors(u) {
+                            if degrees[x as usize] != crate::REMOVED {
+                                degrees[x as usize] -= 1;
+                            }
+                        }
+                    }
+                    let mut got = node.clone();
+                    let mut c = BlockCounters::new(0);
+                    k.remove_neighbors(&mut got, v, Activity::RemoveNeighbors, &mut c);
+                    let ctx = format!("graph {i}, vertex {v}");
+                    assert_eq!(got.degrees(), &degrees[..], "{ctx}");
+                    let charge = cost.parallel_op(updates, 1, k.variant) + cost.atomic_op;
+                    assert_eq!(c.cycles(Activity::RemoveNeighbors), charge, "{ctx}");
+                    got.check_consistency(g).unwrap();
+                }
+            }
+        }
     }
 
     #[test]

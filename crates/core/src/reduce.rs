@@ -11,6 +11,7 @@
 //! recheck. A vertex invalidated by an earlier (smaller-id) application
 //! is skipped, which is precisely the paper's tie-break.
 
+use parvc_graph::VertexId;
 use parvc_simgpu::counters::{Activity, BlockCounters};
 use parvc_simgpu::exec::gather_indices;
 
@@ -165,16 +166,7 @@ impl<'a> Kernel<'a> {
             if node.degree(v) != 2 {
                 continue;
             }
-            let mut live = node.live_neighbors(self.graph, v);
-            let u = live
-                .next()
-                .expect("degree-two vertex has two live neighbors");
-            let w = live
-                .next()
-                .expect("degree-two vertex has two live neighbors");
-            drop(live);
-            // Adjacency test against the ORIGINAL graph: u and w are
-            // both live, so the edge survives iff it existed originally.
+            let (u, w, adjacent) = self.degree_two_pair(node, v);
             counters.charge(
                 Activity::DegreeTwoTriangleRule,
                 self.cost.parallel_op(1, self.block_size, self.variant),
@@ -184,7 +176,7 @@ impl<'a> Kernel<'a> {
             {
                 continue;
             }
-            if self.graph.has_edge(u, w) {
+            if adjacent {
                 self.remove_vertex(node, u, Activity::DegreeTwoTriangleRule, counters);
                 self.remove_vertex(node, w, Activity::DegreeTwoTriangleRule, counters);
                 stats.degree_two_triangle += 2;
@@ -192,6 +184,24 @@ impl<'a> Kernel<'a> {
             }
         }
         changed
+    }
+
+    /// The live neighbors `u < w` of a degree-two vertex `v`, and
+    /// whether `uw` is an edge. The test runs against the ORIGINAL
+    /// graph: `u` and `w` are both live, so the edge survives iff it
+    /// existed originally. It is a bit test on a graph with
+    /// [`AdjacencyRows`](parvc_graph::AdjacencyRows), else a binary
+    /// search of `u`'s CSR list.
+    fn degree_two_pair(&self, node: &TreeNode, v: VertexId) -> (VertexId, VertexId, bool) {
+        let mut live = node.live_neighbors(self.graph, v);
+        let (Some(u), Some(w)) = (live.next(), live.next()) else {
+            panic!("degree-two vertex {v} has two live neighbors");
+        };
+        let adjacent = match self.graph.adjacency_rows() {
+            Some(rows) => rows.has_edge(u, w),
+            None => self.graph.has_edge(u, w),
+        };
+        (u, w, adjacent)
     }
 
     /// One parallel round of the high-degree rule: a live vertex whose
@@ -415,6 +425,28 @@ mod tests {
             .filter(|&(u, v)| !node.is_removed(u) && !node.is_removed(v))
             .collect();
         CsrGraph::from_edges(g.num_vertices(), &edges).unwrap()
+    }
+
+    /// On both sides of the row threshold and on random partial
+    /// covers, every degree-two vertex's pair is its first two live
+    /// CSR neighbors and the adjacency test is the CSR binary search.
+    #[test]
+    fn degree_two_pairs_match_a_csr_scan_on_both_sides_of_the_threshold() {
+        let cost = CostModel::default();
+        let mut seen = [[0u32; 2]; 2];
+        for (i, g) in crate::node::testing::graphs().iter().enumerate() {
+            let k = Kernel::sequential(g, &cost);
+            for node in crate::node::testing::partial_covers(g, i as u64) {
+                for v in g.vertices().filter(|&v| node.degree(v) == 2) {
+                    let mut live = g.neighbors(v).iter().filter(|&&u| !node.is_removed(u));
+                    let (u, w) = (*live.next().unwrap(), *live.next().unwrap());
+                    let adjacent = g.has_edge(u, w);
+                    assert_eq!(k.degree_two_pair(&node, v), (u, w, adjacent), "graph {i}");
+                    seen[usize::from(g.adjacency_rows().is_some())][usize::from(adjacent)] += 1;
+                }
+            }
+        }
+        assert!(seen.iter().flatten().all(|&n| n > 0), "{seen:?}");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 
 use parvc_simgpu::exec::ChunkSlots;
 
+use crate::TreeNode;
+
 /// The reusable per-block buffers of the phase-split passes.
 ///
 /// One instance per block thread (and one per nested sub-search
@@ -25,8 +27,9 @@ pub struct BlockScratch {
     pub candidates: Vec<u32>,
     /// Per-chunk gather slots for pooled classify passes.
     pub slots: ChunkSlots,
-    /// Bound-phase endpoint flags for the residual matching bound.
-    pub matched: Vec<bool>,
+    /// Bound-phase mask of the live vertices the greedy matching has
+    /// not matched yet, laid out like the node's live mask.
+    pub free: Vec<u64>,
     /// Bound-phase residual vertex capacities for the weighted bound's
     /// edge packing.
     pub residual: Vec<u64>,
@@ -39,24 +42,28 @@ impl BlockScratch {
         BlockScratch::default()
     }
 
-    /// `matched`, cleared and sized to `n` without reallocation after
-    /// the first call at a given size.
-    pub fn matched_for(&mut self, n: usize) -> &mut Vec<bool> {
-        self.matched.clear();
-        self.matched.resize(n, false);
-        &mut self.matched
+    /// `free` holding `node`'s live mask, without reallocation after
+    /// the first call at a given size: the greedy matching's start.
+    pub fn free_for(&mut self, node: &TreeNode) -> &mut [u64] {
+        self.free.clear();
+        self.free.extend(node.live_words());
+        &mut self.free
     }
 
-    /// `matched` as [`matched_for`](Self::matched_for) leaves it, and
-    /// `residual` holding the `n` vertex weights (all 1 when `weights`
-    /// is `None`): the state the weighted bound's packing starts from.
-    pub fn packing_for(&mut self, n: usize, weights: Option<&[u64]>) -> (&mut [bool], &mut [u64]) {
-        self.matched_for(n);
+    /// `free` as [`free_for`](Self::free_for) leaves it, and `residual`
+    /// holding the vertex weights (all 1 when `weights` is `None`): the
+    /// state the weighted bound's packing starts from.
+    pub fn packing_for(
+        &mut self,
+        node: &TreeNode,
+        weights: Option<&[u64]>,
+    ) -> (&mut [u64], &mut [u64]) {
+        self.free_for(node);
         self.residual.clear();
         match weights {
             Some(w) => self.residual.extend_from_slice(w),
-            None => self.residual.resize(n, 1),
+            None => self.residual.resize(node.len() as usize, 1),
         }
-        (&mut self.matched, &mut self.residual)
+        (&mut self.free, &mut self.residual)
     }
 }

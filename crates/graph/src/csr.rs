@@ -5,6 +5,8 @@
 //! never materialized in CSR form — they live as degree arrays layered on
 //! top of this structure (see `parvc-core::node`).
 
+use std::sync::OnceLock;
+
 use crate::{GraphError, VertexId};
 
 /// An immutable, simple, undirected graph in Compressed Sparse Row form.
@@ -15,8 +17,11 @@ use crate::{GraphError, VertexId};
 /// relies on this.
 ///
 /// Memory: `O(|V| + |E|)`, matching the paper's requirement that the
-/// baseline representation stay compact.
-#[derive(Clone, PartialEq, Eq)]
+/// baseline representation stay compact. A dense graph also gets
+/// [`AdjacencyRows`], built on first use and never larger than
+/// `col_idx`; equality, [`content_hash`](Self::content_hash) and
+/// [`memory_bytes`](Self::memory_bytes) ignore them.
+#[derive(Clone)]
 pub struct CsrGraph {
     /// `row_ptr[v]..row_ptr[v+1]` indexes `col_idx` for vertex `v`.
     row_ptr: Vec<usize>,
@@ -26,6 +31,61 @@ pub struct CsrGraph {
     /// `None` means the unweighted problem; every accessor then reports
     /// weight 1, so unweighted graphs behave as all-ones instances.
     weights: Option<Box<[u64]>>,
+    /// The bitset rows of [`adjacency_rows`](Self::adjacency_rows):
+    /// unset until its first call, then `None` for a sparse graph.
+    rows: OnceLock<Option<AdjacencyRows>>,
+}
+
+/// Bitset adjacency rows: row `v` has one bit per vertex, set for each
+/// neighbor of `v`, in `⌈|V| / 64⌉` words (bit `u % 64` of word
+/// `u / 64`). A search masks a row with its live vertices and visits
+/// the set bits in ascending order, which is the CSR list's order, so
+/// it skips removed neighbors 64 at a time.
+///
+/// Only a dense graph gets rows: `⌈|V| / 64⌉ · |V| ≤ |E|`, so that a
+/// row has at most half as many words as the average vertex has
+/// neighbors and the rows take no more memory than `col_idx`.
+#[derive(Clone)]
+pub struct AdjacencyRows {
+    words: usize,
+    bits: Box<[u64]>,
+}
+
+impl AdjacencyRows {
+    /// Whether a graph with `n` vertices and `m` edges gets rows.
+    fn dense_enough(n: u32, m: u64) -> bool {
+        u64::from(n).div_ceil(64) * u64::from(n) <= m
+    }
+
+    fn build(g: &CsrGraph) -> Self {
+        let words = (g.num_vertices() as usize).div_ceil(64);
+        let mut bits = vec![0u64; words * g.num_vertices() as usize].into_boxed_slice();
+        for (v, row) in bits.chunks_exact_mut(words).enumerate() {
+            for &u in g.neighbors(v as VertexId) {
+                row[u as usize / 64] |= 1 << (u % 64);
+            }
+        }
+        AdjacencyRows { words, bits }
+    }
+
+    /// Words per row, `⌈|V| / 64⌉`.
+    #[inline]
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The row of `v`.
+    #[inline]
+    pub fn row(&self, v: VertexId) -> &[u64] {
+        let start = v as usize * self.words;
+        &self.bits[start..start + self.words]
+    }
+
+    /// Whether the edge `{u, v}` exists: one bit test.
+    #[inline]
+    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
+        self.row(u)[v as usize / 64] >> (v % 64) & 1 != 0
+    }
 }
 
 impl CsrGraph {
@@ -60,6 +120,7 @@ impl CsrGraph {
             row_ptr,
             col_idx,
             weights: None,
+            rows: OnceLock::new(),
         };
         debug_assert!(g.validate().is_ok(), "invalid CSR parts");
         g
@@ -169,6 +230,20 @@ impl CsrGraph {
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// The graph's [`AdjacencyRows`] if it is dense enough to get them
+    /// (see there), else `None`. The first call builds them, in
+    /// `O(|V|²/64 + |E|)`; construction does not, so generating an
+    /// instance costs the same as without them.
+    #[inline]
+    pub fn adjacency_rows(&self) -> Option<&AdjacencyRows> {
+        self.rows
+            .get_or_init(|| {
+                AdjacencyRows::dense_enough(self.num_vertices(), self.num_edges())
+                    .then(|| AdjacencyRows::build(self))
+            })
+            .as_ref()
     }
 
     /// Maximum degree `Δ(G)`.
@@ -325,6 +400,18 @@ impl CsrGraph {
     }
 }
 
+/// Equal content: the arrays and weights, not whether the rows are
+/// built yet.
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.weights == other.weights
+    }
+}
+
+impl Eq for CsrGraph {}
+
 impl std::fmt::Debug for CsrGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CsrGraph")
@@ -478,6 +565,33 @@ mod tests {
         assert_ne!(g.content_hash(), weighted.content_hash());
         let reweighted = g.clone().with_weights(vec![1, 1, 2]).unwrap();
         assert_ne!(weighted.content_hash(), reweighted.content_hash());
+    }
+
+    /// Rows exist exactly at `⌈n/64⌉·n ≤ |E|`, hold the CSR lists, and
+    /// leave equality, the content hash and the footprint alone.
+    #[test]
+    fn adjacency_rows_follow_the_density_rule() {
+        let dense = crate::gen::gnp(70, 0.3, 1);
+        let sparse = crate::gen::gnp(70, 0.01, 1);
+        let (hash, bytes) = (dense.content_hash(), dense.memory_bytes());
+        let rows = dense.adjacency_rows().expect("2·70 ≤ |E|");
+        assert_eq!(rows.words(), 2);
+        for u in dense.vertices() {
+            for v in dense.vertices() {
+                assert_eq!(rows.has_edge(u, v), dense.has_edge(u, v), "{u} {v}");
+            }
+        }
+        assert!(sparse.adjacency_rows().is_none());
+        assert_eq!((dense.content_hash(), dense.memory_bytes()), (hash, bytes));
+        assert_eq!(dense, crate::gen::gnp(70, 0.3, 1));
+        // K3 has 3 = 1·3 edges, a path on 3 vertices 2.
+        assert!(triangle().adjacency_rows().is_some());
+        assert!(crate::gen::path(3).adjacency_rows().is_none());
+        for n in [63, 64, 65, 128, 129] {
+            let need = u64::from(n).div_ceil(64) * u64::from(n);
+            assert!(AdjacencyRows::dense_enough(n, need), "{n}");
+            assert!(!AdjacencyRows::dense_enough(n, need - 1), "{n}");
+        }
     }
 
     #[test]

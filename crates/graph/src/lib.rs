@@ -38,7 +38,7 @@ pub mod matching;
 pub mod ops;
 
 pub use builder::GraphBuilder;
-pub use csr::CsrGraph;
+pub use csr::{AdjacencyRows, CsrGraph};
 pub use edit::{Edit, EditError, EditScript, EditSummary};
 pub use error::GraphError;
 
