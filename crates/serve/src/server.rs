@@ -124,12 +124,39 @@ impl OwnedSession {
     }
 }
 
+/// A registry entry: the instance behind its lock, which a SOLVE or
+/// RESOLVE holds for its whole search, and what `STATS` reports about
+/// it, which never waits on that lock.
+struct Entry {
+    source: String,
+    summary: Mutex<Summary>,
+    state: Mutex<Instance>,
+}
+
+/// An instance's `STATS` fields as the last completed LOAD or RESOLVE
+/// left them.
+#[derive(Clone, Copy)]
+struct Summary {
+    vertices: u32,
+    edges: u64,
+    session: bool,
+}
+
+impl Entry {
+    fn publish(&self, inst: &Instance) {
+        *self.summary.lock().unwrap() = Summary {
+            vertices: inst.graph.num_vertices(),
+            edges: inst.graph.num_edges(),
+            session: inst.session.is_some(),
+        };
+    }
+}
+
 struct Instance {
     graph: CsrGraph,
     /// `graph.content_hash()`, the cache key's hash: computed by LOAD
     /// and again by each RESOLVE that edits `graph`, never per SOLVE.
     hash: u64,
-    source: String,
     session: Option<OwnedSession>,
 }
 
@@ -149,7 +176,7 @@ pub struct Server {
     cfg: ServeConfig,
     /// Exact-solve variants: indexed by `weighted * 2 + seed_approx`.
     solvers: [Arc<Solver>; 4],
-    registry: Mutex<BTreeMap<String, Arc<Mutex<Instance>>>>,
+    registry: Mutex<BTreeMap<String, Arc<Entry>>>,
     cache: Mutex<ResultCache>,
     /// Solver counters merged across every request's telemetry
     /// snapshot (`engine.*`, `resolve.*`, …) — the `STATS` payload.
@@ -333,7 +360,7 @@ impl Server {
         &self.solvers[usize::from(weighted) * 2 + usize::from(seed_approx)]
     }
 
-    fn instance(&self, name: &str) -> Result<Arc<Mutex<Instance>>, String> {
+    fn instance(&self, name: &str) -> Result<Arc<Entry>, String> {
         self.registry
             .lock()
             .unwrap()
@@ -391,12 +418,20 @@ impl Server {
             ("weighted", Value::Bool(graph.is_weighted())),
             ("hash", Value::Str(format!("{hash:016x}"))),
         ];
-        let entry = Arc::new(Mutex::new(Instance {
+        let inst = Instance {
             graph,
             hash,
-            source: instance.to_string(),
             session: None,
-        }));
+        };
+        let entry = Arc::new(Entry {
+            source: instance.to_string(),
+            summary: Mutex::new(Summary {
+                vertices: inst.graph.num_vertices(),
+                edges: inst.graph.num_edges(),
+                session: false,
+            }),
+            state: Mutex::new(inst),
+        });
         let replaced = self
             .registry
             .lock()
@@ -415,8 +450,8 @@ impl Server {
         name: &str,
         flags: &SolveFlags,
     ) -> Result<Vec<(&'static str, Value)>, String> {
-        let inst = self.instance(name)?;
-        let inst = inst.lock().unwrap();
+        let entry = self.instance(name)?;
+        let inst = entry.state.lock().unwrap();
         let g = &inst.graph;
 
         if let Some(k) = flags.k {
@@ -558,8 +593,8 @@ impl Server {
         edits: &str,
         flags: &SolveFlags,
     ) -> Result<Vec<(&'static str, Value)>, String> {
-        let inst = self.instance(name)?;
-        let mut inst = inst.lock().unwrap();
+        let entry = self.instance(name)?;
+        let mut inst = entry.state.lock().unwrap();
         if let Some(session) = &inst.session {
             if session.weighted != flags.weighted {
                 let have = if session.weighted {
@@ -623,6 +658,7 @@ impl Server {
                 &inst.graph,
                 &baseline,
             ));
+            entry.publish(&inst);
         }
 
         let script = parse_edit_spec(edits, &inst.graph)?;
@@ -644,6 +680,7 @@ impl Server {
         // the cache) in step so a follow-up SOLVE hits.
         inst.graph = resolved.graph;
         inst.hash = inst.graph.content_hash();
+        entry.publish(&inst);
         if !r.stats.timed_out {
             self.cache.lock().unwrap().insert(
                 CacheKey {
@@ -686,22 +723,31 @@ impl Server {
 
     // ---- STATS / EVICT ------------------------------------------
 
+    /// Reports each instance's last completed state: it reads the
+    /// summaries, never an instance's lock, so an in-flight solve
+    /// delays neither this reply nor, through the registry lock, any
+    /// other request.
     fn do_stats(&self) -> Vec<(&'static str, Value)> {
-        let registry = self.registry.lock().unwrap();
-        let instances: Vec<Value> = registry
+        let entries: Vec<(String, Arc<Entry>)> = self
+            .registry
+            .lock()
+            .unwrap()
             .iter()
-            .map(|(name, inst)| {
-                let inst = inst.lock().unwrap();
+            .map(|(name, entry)| (name.clone(), Arc::clone(entry)))
+            .collect();
+        let instances: Vec<Value> = entries
+            .iter()
+            .map(|(name, entry)| {
+                let summary = *entry.summary.lock().unwrap();
                 parvc_bench::json::obj(vec![
                     ("name", Value::Str(proto::sanitize(name))),
-                    ("source", Value::Str(proto::sanitize(&inst.source))),
-                    ("vertices", Value::Num(u64::from(inst.graph.num_vertices()))),
-                    ("edges", Value::Num(inst.graph.num_edges())),
-                    ("session", Value::Bool(inst.session.is_some())),
+                    ("source", Value::Str(proto::sanitize(&entry.source))),
+                    ("vertices", Value::Num(u64::from(summary.vertices))),
+                    ("edges", Value::Num(summary.edges)),
+                    ("session", Value::Bool(summary.session)),
                 ])
             })
             .collect();
-        drop(registry);
         let cache = self.cache.lock().unwrap();
         let cache_obj = parvc_bench::json::obj(vec![
             ("entries", Value::Num(cache.len() as u64)),
@@ -831,5 +877,42 @@ fn synthetic_result(g: &CsrGraph, entry: &CacheEntry) -> MvcResult {
         weight: g.cover_weight(&entry.cover),
         cover: entry.cover.clone(),
         stats: SolveStats::empty(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// `STATS` and a `LOAD` of another instance answer while a solve
+    /// holds an instance's lock: neither waits on it, and `STATS`
+    /// still reports the held instance.
+    #[test]
+    fn stats_and_load_do_not_wait_on_a_held_instance() {
+        let server = Server::new(ServeConfig::default());
+        let loaded = server.handle("LOAD busy gnp:30:0.2@1").unwrap();
+        assert!(loaded.contains("\"ok\":true"), "{loaded}");
+        let entry = server.instance("busy").unwrap();
+        let held = entry.state.lock().unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for line in ["STATS", "LOAD other gnp:20:0.2@2"] {
+                    tx.send(server.handle(line).unwrap()).unwrap();
+                }
+            });
+            let timeout = Duration::from_secs(10);
+            let stats = rx
+                .recv_timeout(timeout)
+                .expect("STATS waited on the held lock");
+            assert!(
+                stats.contains("\"busy\"") && stats.contains("gnp:30:0.2@1"),
+                "{stats}"
+            );
+            let load = rx.recv_timeout(timeout).expect("LOAD waited behind STATS");
+            assert!(load.contains("\"ok\":true"), "{load}");
+            drop(held);
+        });
     }
 }
