@@ -74,7 +74,8 @@ impl TreeNode {
     /// Current degree of `v`, or [`REMOVED`].
     #[inline]
     pub fn degree(&self, v: VertexId) -> i32 {
-        self.degrees()[v as usize]
+        debug_assert!(v < self.len, "vertex {v} out of range");
+        self.slots[v as usize]
     }
 
     /// The whole degree array: each slot is a live degree or

@@ -68,12 +68,6 @@ impl AdjacencyRows {
         AdjacencyRows { words, bits }
     }
 
-    /// Words per row, `⌈|V| / 64⌉`.
-    #[inline]
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
     /// The row of `v`.
     #[inline]
     pub fn row(&self, v: VertexId) -> &[u64] {
@@ -575,7 +569,7 @@ mod tests {
         let sparse = crate::gen::gnp(70, 0.01, 1);
         let (hash, bytes) = (dense.content_hash(), dense.memory_bytes());
         let rows = dense.adjacency_rows().expect("2·70 ≤ |E|");
-        assert_eq!(rows.words(), 2);
+        assert_eq!(rows.row(69).len(), 2);
         for u in dense.vertices() {
             for v in dense.vertices() {
                 assert_eq!(rows.has_edge(u, v), dense.has_edge(u, v), "{u} {v}");
