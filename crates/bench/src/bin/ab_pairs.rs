@@ -131,7 +131,8 @@ fn main() -> ExitCode {
     if let Some((name, _)) = opts.iter().find(|(_, v)| v.is_none()) {
         return usage(&format!("{name} is required"));
     }
-    let [parent, change, workload, seed, seconds, pairs] = opts.map(|(_, v)| v.unwrap());
+    let [parent, change, workload, seed, seconds, pairs] =
+        opts.map(|(_, v)| v.expect("every option was checked above"));
     let Ok(pairs) = pairs.parse::<usize>() else {
         return usage(&format!("bad pair count '{pairs}'"));
     };

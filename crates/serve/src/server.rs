@@ -142,15 +142,34 @@ struct Summary {
     session: bool,
 }
 
-impl Entry {
-    fn publish(&self, inst: &Instance) {
-        *self.summary.lock().unwrap() = Summary {
+impl Summary {
+    fn of(inst: &Instance) -> Self {
+        Summary {
             vertices: inst.graph.num_vertices(),
             edges: inst.graph.num_edges(),
             session: inst.session.is_some(),
-        };
+        }
     }
 }
+
+impl Entry {
+    fn new(source: &str, inst: Instance) -> Self {
+        Entry {
+            source: source.to_string(),
+            summary: Mutex::new(Summary::of(&inst)),
+            state: Mutex::new(inst),
+        }
+    }
+
+    /// Refreshes the summary from `inst`, which the caller has locked.
+    fn publish(&self, inst: &Instance) {
+        *self.summary.lock().expect(SUMMARY_LOCK) = Summary::of(inst);
+    }
+}
+
+/// A summary's lock is held only to copy a `Copy` value, so no panic
+/// can poison it.
+const SUMMARY_LOCK: &str = "summary lock poisoned";
 
 struct Instance {
     graph: CsrGraph,
@@ -418,20 +437,14 @@ impl Server {
             ("weighted", Value::Bool(graph.is_weighted())),
             ("hash", Value::Str(format!("{hash:016x}"))),
         ];
-        let inst = Instance {
-            graph,
-            hash,
-            session: None,
-        };
-        let entry = Arc::new(Entry {
-            source: instance.to_string(),
-            summary: Mutex::new(Summary {
-                vertices: inst.graph.num_vertices(),
-                edges: inst.graph.num_edges(),
-                session: false,
-            }),
-            state: Mutex::new(inst),
-        });
+        let entry = Arc::new(Entry::new(
+            instance,
+            Instance {
+                graph,
+                hash,
+                session: None,
+            },
+        ));
         let replaced = self
             .registry
             .lock()
@@ -738,7 +751,7 @@ impl Server {
         let instances: Vec<Value> = entries
             .iter()
             .map(|(name, entry)| {
-                let summary = *entry.summary.lock().unwrap();
+                let summary = *entry.summary.lock().expect(SUMMARY_LOCK);
                 parvc_bench::json::obj(vec![
                     ("name", Value::Str(proto::sanitize(name))),
                     ("source", Value::Str(proto::sanitize(&entry.source))),
