@@ -13,10 +13,10 @@
 //! | `ablation` | hybrid vs its two degenerate extremes (pure stacks / pure worklist) |
 //! | `massive` | `Scale::Massive` — kernelization + component decomposition vs the unpreprocessed baseline on ≥100k-vertex sparse instances |
 //! | `components` | in-search component branching (arXiv 2512.18334): split-on vs split-off tree-node counts, union-find vs BFS split-check cost, WorkStealing vs ComponentSteal |
-//! | `smoke` | the CI perf-regression gate: a downsized deterministic `components` slice, JSON report + baseline comparison (`bench/baselines/components.json`) |
 //! | `all` | everything above (except `massive` and `components`) in sequence |
 //!
 //! Run e.g. `cargo run -p parvc-bench --release --bin table1 -- --scale small --deadline 5`.
+//! The CI gates are the root package's `gate` binary.
 //!
 //! Part of the `parvc` workspace — see `ARCHITECTURE.md` at the
 //! repository root and `README.md` for a results tour.

@@ -170,10 +170,11 @@ pub struct Deadline {
 }
 
 impl Deadline {
-    /// A deadline `limit` from now; `None` never expires.
+    /// A deadline `limit` from now; `None`, or a limit past the
+    /// clock's range, never expires.
     pub fn new(limit: Option<std::time::Duration>) -> Self {
         Deadline {
-            end: limit.map(|d| std::time::Instant::now() + d),
+            end: limit.and_then(|d| std::time::Instant::now().checked_add(d)),
             hit: AtomicBool::new(false),
         }
     }
@@ -308,6 +309,13 @@ mod tests {
             n.remove_into_cover(g, v);
         }
         n
+    }
+
+    #[test]
+    fn a_deadline_past_the_clocks_range_never_expires() {
+        let d = Deadline::new(Some(std::time::Duration::MAX));
+        assert!(!d.expired() && !d.was_hit());
+        assert!(Deadline::new(Some(std::time::Duration::ZERO)).expired());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! pinned against [`VERBS`] by a test — extend both together.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use parvc_bench::json::{obj, Value};
 
@@ -76,9 +77,9 @@ pub struct SolveFlags {
     /// Parameterized question: is there a cover of size ≤ k?
     /// (Cardinality only; never cached.)
     pub k: Option<u32>,
-    /// Per-request wall-clock budget in seconds, riding
+    /// Per-request wall-clock budget, riding
     /// [`Solver::with_deadline`](parvc_core::Solver::with_deadline).
-    pub deadline_secs: Option<f64>,
+    pub deadline: Option<Duration>,
     /// Seed the exact search with the bounded 2-approximation instead
     /// of the greedy cover.
     pub seed_approx: bool,
@@ -222,10 +223,12 @@ fn parse_solve_flags(tokens: &[&str]) -> Result<SolveFlags, String> {
                 let secs: f64 = v
                     .parse()
                     .map_err(|_| format!("bad --deadline value '{v}'"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
+                if secs <= 0.0 {
                     return Err(format!("--deadline must be positive, got '{v}'"));
                 }
-                flags.deadline_secs = Some(secs);
+                let limit = Duration::try_from_secs_f64(secs)
+                    .map_err(|e| format!("bad --deadline value '{v}': {e}"))?;
+                flags.deadline = Some(limit);
             }
             "--seed" => {
                 let v = it
@@ -299,7 +302,7 @@ mod tests {
                 name: "g1".into(),
                 flags: SolveFlags {
                     weighted: true,
-                    deadline_secs: Some(2.5),
+                    deadline: Some(Duration::from_millis(2500)),
                     seed_approx: true,
                     ..Default::default()
                 }
@@ -348,6 +351,11 @@ mod tests {
         assert!(parse_request("SOLVE g1 --deadline -1")
             .unwrap_err()
             .contains("positive"));
+        for v in ["1e20", "inf", "NaN"] {
+            assert!(parse_request(&format!("SOLVE g1 --deadline {v}"))
+                .unwrap_err()
+                .contains("--deadline"));
+        }
         assert!(parse_request("SOLVE g1 --seed fast")
             .unwrap_err()
             .contains("--seed"));

@@ -5,7 +5,7 @@
 //! [`Server`] is transport-agnostic: [`Server::handle`] maps one
 //! request line to one response line and is safe to call from many
 //! threads at once (the TCP front end in [`crate::tcp`] does exactly
-//! that from a bounded worker pool; tests and the `serve_load` bench
+//! that from a bounded worker pool; tests and the `gate serve` suite
 //! call it directly). Internally:
 //!
 //! - a **registry** maps names to loaded instances; each instance
@@ -508,10 +508,8 @@ impl Server {
         }
 
         let base = self.solver(flags.weighted, flags.seed_approx);
-        let r = match flags.deadline_secs {
-            Some(secs) => base
-                .with_deadline(Some(Duration::from_secs_f64(secs)))
-                .solve_mvc(g),
+        let r = match flags.deadline {
+            Some(limit) => base.with_deadline(Some(limit)).solve_mvc(g),
             None => base.solve_mvc(g),
         };
         self.merge_solve_telemetry(&r.stats);
@@ -556,10 +554,8 @@ impl Server {
         // PVC answers depend on k, so they bypass the cache; they are
         // also never shed (the certificate only answers some ks).
         let base = self.solver(false, flags.seed_approx);
-        let r = match flags.deadline_secs {
-            Some(secs) => base
-                .with_deadline(Some(Duration::from_secs_f64(secs)))
-                .solve_pvc(g, k),
+        let r = match flags.deadline {
+            Some(limit) => base.with_deadline(Some(limit)).solve_pvc(g, k),
             None => base.solve_pvc(g, k),
         };
         self.merge_solve_telemetry(&r.stats);
@@ -927,5 +923,38 @@ mod tests {
             assert!(load.contains("\"ok\":true"), "{load}");
             drop(held);
         });
+    }
+
+    /// A deadline past the clock's range never expires and leaves the
+    /// instance usable; one past `Duration`'s range is refused as an
+    /// error.
+    #[test]
+    fn out_of_range_deadlines_leave_the_instance_usable() {
+        let server = Server::new(ServeConfig::default());
+        let parsed = |line: &str| {
+            let response = server.handle(line).expect("one response per request");
+            parvc_bench::json::parse(&response).expect("responses are JSON")
+        };
+        assert_eq!(
+            parsed("LOAD a gnp:20:0.2@1").get("ok"),
+            Some(&Value::Bool(true))
+        );
+        for line in [
+            "SOLVE a --deadline 1e19 --no-cache",
+            "SOLVE a --k 3 --deadline 1e19",
+            "SOLVE a",
+        ] {
+            let r = parsed(line);
+            assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{line}: {r:?}");
+            assert_eq!(
+                r.get("timed_out").or(r.get("cached")),
+                Some(&Value::Bool(false))
+            );
+        }
+        let refused = parsed("SOLVE a --deadline 1e20");
+        assert_eq!(refused.get("ok"), Some(&Value::Bool(false)), "{refused:?}");
+        let stats = parsed("STATS");
+        let errors = stats.get("requests").and_then(|r| r.get("errors"));
+        assert_eq!(errors, Some(&Value::Num(1)), "{stats:?}");
     }
 }

@@ -8,7 +8,6 @@
 //!               [--threads <n>] [--exec serial|pooled[:threads]]
 //!               [--k <k>] [--deadline <s>]
 //!               [--component-branching[=<min-live>]]
-//!               [--split-bound lp|matching] [--split-backend uf|bfs]
 //!               [--prep] [--prep-rules d012,crown,highdeg,split]
 //!               [--weighted] [--seed greedy|approx]
 //!               [--format dimacs|edgelist] <instance>
@@ -42,7 +41,7 @@
 use std::io::BufReader;
 use std::time::Duration;
 
-use parvc::core::split::{SplitBackend, SplitBound, SplitParams};
+use parvc::core::split::SplitParams;
 use parvc::graph::{analysis, gen, io, kcore, matching, ops};
 use parvc::prelude::*;
 use parvc::prep::{preprocess, PrepConfig};
@@ -163,21 +162,6 @@ const COMMANDS: &[CmdHelp] = &[
                        residual graph; optional value = live-vertex count \
                        below which the connectivity check is skipped \
                        (default 8).",
-            },
-            FlagHelp {
-                flag: "--split-bound <lp|matching>",
-                desc: "Lower bound budgeting the per-component sub-searches of \
-                       a split: the LP/Nemhauser-Trotter relaxation (default; \
-                       weighted solves fall back to the weight-sound matching \
-                       bound) or a greedy maximal matching. Implies \
-                       --component-branching.",
-            },
-            FlagHelp {
-                flag: "--split-backend <uf|bfs>",
-                desc: "Connectivity backend for the split check: the \
-                       incremental union-find tracker (default) or the \
-                       from-scratch BFS baseline it is benchmarked against. \
-                       Implies --component-branching.",
             },
             FlagHelp {
                 flag: "--prep",
@@ -613,6 +597,31 @@ fn parse_flags_or_exit(
     })
 }
 
+/// Option `--name` converted by `parse`, if given; a value `parse`
+/// rejects exits 2 with a message naming what the flag takes.
+fn option_or_exit<T>(
+    flags: &Flags,
+    name: &str,
+    takes: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    let v = flags.options.get(name)?;
+    Some(parse(v).unwrap_or_else(|| {
+        eprintln!("--{name} takes {takes}, got '{v}'");
+        std::process::exit(2);
+    }))
+}
+
+/// A non-negative number of seconds within `Duration`'s range.
+fn seconds(v: &str) -> Option<Duration> {
+    Duration::try_from_secs_f64(v.parse().ok()?).ok()
+}
+
+/// [`option_or_exit`] for a time in seconds.
+fn seconds_or_exit(flags: &Flags, name: &str) -> Option<Duration> {
+    option_or_exit(flags, name, "seconds", seconds)
+}
+
 /// Builds the graph a positional `<instance>` argument names: a
 /// generator spec (`family:args[@seed]`) when the first `:`-segment is
 /// a known family, otherwise a file in `--format` (or inferred from
@@ -741,8 +750,6 @@ fn cmd_solve(args: &[String]) {
             "threads",
             "exec",
             "prep-rules",
-            "split-bound",
-            "split-backend",
             "seed",
             "trace-out",
             "metrics-out",
@@ -757,19 +764,12 @@ fn cmd_solve(args: &[String]) {
     let g = load_instance(path, flags.options.get("format").map(String::as_str));
     let algorithm = policy_or_exit(&flags);
     let mut builder = Solver::builder().algorithm(algorithm);
-    if let Some(d) = flags.options.get("deadline") {
-        builder = builder.deadline(Some(Duration::from_secs_f64(
-            d.parse().expect("--deadline takes seconds"),
-        )));
-    }
+    builder = builder.deadline(seconds_or_exit(&flags, "deadline"));
     // --threads caps the resident thread blocks (one OS thread each);
     // --blocks is the historical alias.
-    if let Some(b) = flags
-        .options
-        .get("threads")
-        .or_else(|| flags.options.get("blocks"))
-    {
-        builder = builder.grid_limit(Some(b.parse().expect("--threads takes a count")));
+    let count = |name| option_or_exit(&flags, name, "a count", |v| v.parse().ok());
+    if let Some(blocks) = count("threads").or_else(|| count("blocks")) {
+        builder = builder.grid_limit(Some(blocks));
     }
     if let Some(e) = flags.options.get("exec") {
         let spec = ExecutorSpec::parse(e).unwrap_or_else(|err| {
@@ -786,46 +786,15 @@ fn cmd_solve(args: &[String]) {
         builder = builder.seed(strategy);
     }
     // `--component-branching` (default trigger) or
-    // `--component-branching=<min-live>`; `--split-bound` and
-    // `--split-backend` refine the parameters and imply the switch.
-    let mut split_params: Option<SplitParams> =
-        if let Some(v) = flags.options.get("component-branching") {
-            let min_live: u32 = v.parse().unwrap_or_else(|_| {
-                eprintln!("--component-branching takes a live-vertex count, got '{v}'");
-                std::process::exit(2);
-            });
-            Some(SplitParams::with_min_live(min_live))
-        } else if flags.switches.contains("component-branching") {
-            Some(SplitParams::default())
-        } else {
-            None
-        };
-    if let Some(b) = flags.options.get("split-bound") {
-        let bound = match b.as_str() {
-            "lp" => SplitBound::Lp,
-            "matching" => SplitBound::Matching,
-            other => {
-                eprintln!("unknown split bound '{other}' (lp|matching)");
-                std::process::exit(2);
-            }
-        };
-        split_params.get_or_insert_with(SplitParams::default).bound = bound;
-    }
-    if let Some(b) = flags.options.get("split-backend") {
-        let backend = match b.as_str() {
-            "uf" | "unionfind" | "union-find" => SplitBackend::UnionFind,
-            "bfs" => SplitBackend::Bfs,
-            other => {
-                eprintln!("unknown split backend '{other}' (uf|bfs)");
-                std::process::exit(2);
-            }
-        };
-        split_params
-            .get_or_insert_with(SplitParams::default)
-            .backend = backend;
-    }
-    if let Some(params) = split_params {
-        builder = builder.component_branching_params(params);
+    // `--component-branching=<min-live>`.
+    if let Some(min_live) =
+        option_or_exit(&flags, "component-branching", "a live-vertex count", |v| {
+            v.parse().ok()
+        })
+    {
+        builder = builder.component_branching_params(SplitParams::with_min_live(min_live));
+    } else if flags.switches.contains("component-branching") {
+        builder = builder.component_branching_params(SplitParams::default());
     }
     if flags.switches.contains("prep") || flags.options.contains_key("prep-rules") {
         builder = builder.preprocess(parse_prep_rules(flags.options.get("prep-rules")));
@@ -842,25 +811,13 @@ fn cmd_solve(args: &[String]) {
     if trace_out.is_some() || metrics_out.is_some() {
         builder = builder.telemetry(parvc::core::TelemetryConfig::default());
     }
-    let timeline: Option<usize> = if let Some(w) = flags.options.get("timeline") {
-        Some(w.parse().unwrap_or_else(|_| {
-            eprintln!("--timeline takes a column count, got '{w}'");
-            std::process::exit(2);
-        }))
-    } else if flags.switches.contains("timeline") {
-        Some(100)
-    } else {
-        None
-    };
+    let timeline = option_or_exit(&flags, "timeline", "a column count", |v| v.parse().ok())
+        .or_else(|| flags.switches.contains("timeline").then_some(100));
     if timeline.is_some() {
         builder = builder.record_trace(true);
     }
-    if let Some(p) = flags.options.get("progress") {
-        let secs: f64 = p.parse().unwrap_or_else(|_| {
-            eprintln!("--progress takes seconds, got '{p}'");
-            std::process::exit(2);
-        });
-        builder = builder.progress(Duration::from_secs_f64(secs));
+    if let Some(every) = seconds_or_exit(&flags, "progress") {
+        builder = builder.progress(every);
     } else if flags.switches.contains("progress") {
         builder = builder.progress(Duration::from_secs(5));
     }
@@ -878,13 +835,12 @@ fn cmd_solve(args: &[String]) {
             ""
         }
     );
-    match flags.options.get("k") {
+    match option_or_exit(&flags, "k", "a cover size", |v| v.parse::<u32>().ok()) {
         Some(k) => {
             if weighted {
                 eprintln!("--weighted applies to MVC; PVC (--k) is a cardinality question");
                 std::process::exit(2);
             }
-            let k: u32 = k.parse().expect("--k takes an integer");
             let r = solver.solve_pvc(&g, k);
             match &r.cover {
                 Some(cover) => {
@@ -1063,17 +1019,10 @@ fn cmd_resolve(args: &[String]) {
 
     let algorithm = policy_or_exit(&flags);
     let mut builder = Solver::builder().algorithm(algorithm);
-    if let Some(d) = flags.options.get("deadline") {
-        builder = builder.deadline(Some(Duration::from_secs_f64(
-            d.parse().expect("--deadline takes seconds"),
-        )));
-    }
-    if let Some(b) = flags
-        .options
-        .get("threads")
-        .or_else(|| flags.options.get("blocks"))
-    {
-        builder = builder.grid_limit(Some(b.parse().expect("--threads takes a count")));
+    builder = builder.deadline(seconds_or_exit(&flags, "deadline"));
+    let count = |name| option_or_exit(&flags, name, "a count", |v| v.parse().ok());
+    if let Some(blocks) = count("threads").or_else(|| count("blocks")) {
+        builder = builder.grid_limit(Some(blocks));
     }
     if let Some(e) = flags.options.get("exec") {
         let spec = ExecutorSpec::parse(e).unwrap_or_else(|err| {
@@ -1265,13 +1214,9 @@ fn cmd_serve(args: &[String]) {
         }),
         None => ExecutorSpec::Serial,
     };
-    let numeric = |name: &str, default: usize| -> usize {
-        flags.options.get(name).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--{name} takes a non-negative integer");
-                std::process::exit(2);
-            })
-        })
+    let numeric = |name: &str, default: usize| {
+        option_or_exit(&flags, name, "a non-negative integer", |v| v.parse().ok())
+            .unwrap_or(default)
     };
     let cfg = parvc::serve::ServeConfig {
         algorithm,
@@ -1279,10 +1224,7 @@ fn cmd_serve(args: &[String]) {
         prep: !flags.switches.contains("no-prep"),
         grid_limit: None,
         high_water: numeric("high-water", 4),
-        default_deadline: flags
-            .options
-            .get("deadline")
-            .map(|d| Duration::from_secs_f64(d.parse().expect("--deadline takes seconds"))),
+        default_deadline: seconds_or_exit(&flags, "deadline"),
         cache_capacity: numeric("cache-capacity", 128),
         cache_path: flags.options.get("cache-file").map(Into::into),
         telemetry: false,
@@ -1415,11 +1357,7 @@ fn cmd_prep(args: &[String]) {
 
 fn cmd_generate(args: &[String]) {
     let flags = parse_flags_or_exit(args, &["seed", "out", "weights"], &[], &[]);
-    let seed: u64 = flags
-        .options
-        .get("seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
+    let seed = option_or_exit(&flags, "seed", "an integer", |v| v.parse().ok()).unwrap_or(42);
     let p = &flags.positional;
     let Some(family) = p.first() else {
         eprintln!("generate: missing family");
@@ -1527,8 +1465,6 @@ mod tests {
         "threads",
         "exec",
         "prep-rules",
-        "split-bound",
-        "split-backend",
         "seed",
         "trace-out",
         "metrics-out",
@@ -1660,6 +1596,18 @@ mod tests {
                 solve_flags(&[format!("--{switch}=1")]).is_err(),
                 "--{switch} must not take an =value"
             );
+        }
+    }
+
+    #[test]
+    fn time_flags_take_only_durations() {
+        assert_eq!(seconds("0.5"), Some(Duration::from_millis(500)));
+        assert_eq!(
+            seconds("1e19"),
+            Some(Duration::from_secs(10_000_000_000_000_000_000))
+        );
+        for bad in ["-1", "1e20", "abc", "NaN", "inf", ""] {
+            assert_eq!(seconds(bad), None, "'{bad}'");
         }
     }
 

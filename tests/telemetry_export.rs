@@ -4,8 +4,8 @@
 //!
 //! Both exporters hand-roll their JSON (the workspace is offline and
 //! serde-free), so the checks parse everything back with
-//! `parvc_bench::json` — the same reader the bench-smoke regression
-//! gate trusts — and then assert the structural invariants Perfetto
+//! `parvc_bench::json` — the same reader the CI `gate` binary
+//! trusts — and then assert the structural invariants Perfetto
 //! and chrome://tracing rely on: complete events carry `ts`/`dur`,
 //! timestamps are monotone per `(pid, tid)` thread, and spans on a
 //! thread nest properly. A hand-built snapshot is additionally pinned
