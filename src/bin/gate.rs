@@ -157,7 +157,10 @@ fn parse_args(args: &[String]) -> Result<(&'static Suite, Opts), String> {
             "baseline" => opts.baseline = Some(value),
             "trace-out" => opts.trace_out = Some(value),
             "metrics-out" => opts.metrics_out = Some(value),
-            _ => opts.exec = ExecutorSpec::parse(&value).map_err(|e| format!("--exec: {e}"))?,
+            "exec" => {
+                opts.exec = ExecutorSpec::parse(&value).map_err(|e| format!("--exec: {e}"))?
+            }
+            _ => unreachable!("suites list only the flags above"),
         }
     }
     Ok((suite, opts))
@@ -194,7 +197,7 @@ fn main() -> ExitCode {
         eprintln!("[gate {}] report written to {path}", suite.name);
     }
     if let (Some(base), Some(path)) = (&baseline, &opts.baseline) {
-        let regressions = compare(suite, base, &report);
+        let regressions = compare(suite, "", base, &report);
         if regressions > 0 {
             eprintln!(
                 "[gate {}] FAILED: {regressions} regression(s) against {path}",
@@ -218,17 +221,13 @@ fn write_file(path: &str, text: &str) {
 
 // ---- the one compare ----------------------------------------------
 
-/// Counts the regressions of `current` against `base`, printing one
-/// line per finding.
-fn compare(suite: &Suite, base: &Value, current: &Value) -> u32 {
-    compare_at(suite, "", base, current)
-}
-
-/// Compares the fields of the object `base` with those of `current`.
+/// Counts the regressions of the object `current` against `base`,
+/// printing one line per finding; `at` names the row being compared.
 /// Strings are identities (`bench`, `name`, `policy`) and must match;
 /// arrays hold rows, matched by their `name` or `policy` and compared
-/// in turn; numbers compare by the suite's class for their key.
-fn compare_at(suite: &Suite, at: &str, base: &Value, current: &Value) -> u32 {
+/// in turn; numbers compare by the suite's class for their key, and
+/// nested objects (latency) are informational.
+fn compare(suite: &Suite, at: &str, base: &Value, current: &Value) -> u32 {
     let Value::Obj(fields) = base else {
         return 0;
     };
@@ -246,7 +245,7 @@ fn compare_at(suite: &Suite, at: &str, base: &Value, current: &Value) -> u32 {
                 .map(|row| {
                     let id = row_id(row);
                     match now_rows.iter().find(|r| row_id(r) == id) {
-                        Some(now) => compare_at(suite, &format!("{at}{id}/"), row, now),
+                        Some(now) => compare(suite, &format!("{at}{id}/"), row, now),
                         None => fail(format!("{id}: missing from the report")),
                     }
                 })
@@ -870,7 +869,7 @@ mod tests {
         let base = baseline(file);
         let mut current = base.clone();
         edit(&mut current);
-        compare(suite(name), &base, &current)
+        compare(suite(name), "", &base, &current)
     }
 
     /// A field: the row ids down to its row, and its key.
