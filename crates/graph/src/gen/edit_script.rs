@@ -67,10 +67,11 @@ pub fn edit_script(g: &CsrGraph, ops: usize, insert_frac: f64, seed: u64) -> Edi
     for _ in 0..ops {
         let want_insert = rng.gen::<f64>() < insert_frac;
         let vertex_op = rng.gen::<f64>() < VERTEX_OP_FRAC;
-        // A delete with nothing to delete falls back to inserting; an
-        // insert with nowhere to insert falls back to deleting. Both
-        // at once can't happen on graphs with >= 2 vertices.
-        let insert = (want_insert || live.is_empty()) && !(want_insert && n < 2);
+        // A delete with nothing to delete falls back to inserting, and
+        // an insert below 2 vertices appends a vertex. A vertex insert
+        // drawn on a lone vertex deletes it instead, which keeps the
+        // scripts these seeds already built on one vertex.
+        let insert = (want_insert || live.is_empty()) && !(want_insert && vertex_op && n == 1);
         let op = if insert {
             if vertex_op || n < 2 {
                 let weight = if g.is_weighted() {
@@ -124,6 +125,8 @@ mod tests {
             gen::barabasi_albert(40, 2, 5),
             gen::grid2d(5, 5),
             gen::sparse_components(48, 8, 0.5, 9),
+            gen::path(0),
+            gen::path(1),
         ];
         for g in &graphs {
             for seed in 0..8u64 {

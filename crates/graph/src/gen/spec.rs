@@ -8,12 +8,19 @@
 //! spec that works in one place works everywhere and hashes to the same
 //! [`CsrGraph::content_hash`] cache key.
 //!
-//! Everything here returns `Result` instead of exiting: callers that
-//! talk to a terminal print the message and exit, callers that talk to
-//! a socket turn it into an error line.
+//! The same module parses the `gen:<ops>[:<insert_frac>][@seed]`
+//! edit-batch grammar ([`parse_edits`]) that `parvc resolve --edits`
+//! and the `RESOLVE` verb accept.
+//!
+//! Everything here returns `Result` instead of exiting or panicking,
+//! out-of-range arguments included: callers that talk to a terminal
+//! print the message and exit, callers that talk to a socket turn it
+//! into an error line. Sizes are not capped, so a spec can still ask
+//! for more than memory holds. [`crate::io::load_instance`] is the
+//! entry point that also reads files.
 
 use crate::gen;
-use crate::CsrGraph;
+use crate::{CsrGraph, EditScript};
 
 /// Generator family names the spec grammar recognizes. A leading
 /// segment outside this list means "not a spec" (probably a file path).
@@ -81,24 +88,72 @@ pub fn parse(spec: &str) -> Result<Option<CsrGraph>, String> {
 
 /// The family dispatch shared by the spec grammar and `parvc generate`:
 /// builds `family` from its positional numeric arguments under `seed`.
+///
+/// The arguments come from outside the program, so every range a
+/// generator asserts is checked here first and reported as an `Err`
+/// that names the argument. Counts are truncated to integers before
+/// the check, as the generators take them.
 pub fn generate(family: &str, seed: u64, args: &[f64]) -> Result<CsrGraph, String> {
     let arg = |i: usize| -> Result<f64, String> {
         args.get(i)
             .copied()
             .ok_or_else(|| format!("family {family} needs more arguments"))
     };
+    let count = |i: usize| arg(i).map(|x| x as u32);
     Ok(match family {
-        "phat" => gen::p_hat_complement(arg(0)? as u32, arg(1)? as u8, seed),
-        "gnp" => gen::gnp(arg(0)? as u32, arg(1)?, seed),
-        "ba" => gen::barabasi_albert(arg(0)? as u32, arg(1)? as u32, seed),
-        "ws" => gen::watts_strogatz(arg(0)? as u32, arg(1)? as u32, arg(2)?, seed),
-        "geometric" => gen::random_geometric(arg(0)? as u32, arg(1)?, seed),
-        "pace" => gen::pace_like(arg(0)? as u32, arg(1)? as u32, seed),
-        "components" => gen::sparse_components(arg(0)? as u32, arg(1)? as u32, arg(2)?, seed),
-        "bipartite" => gen::bipartite_gnp(arg(0)? as u32, arg(1)? as u32, arg(2)?, seed),
-        "grid" => gen::grid2d(arg(0)? as u32, arg(1)? as u32),
+        "phat" => {
+            let class = arg(1)? as u8;
+            if !(1..=3).contains(&class) {
+                return Err(format!("class must be 1, 2 or 3, got {class}"));
+            }
+            gen::p_hat_complement(count(0)?, class, seed)
+        }
+        "gnp" => gen::gnp(count(0)?, probability("p", arg(1)?)?, seed),
+        "ba" => {
+            let (n, m) = (count(0)?, count(1)?);
+            if m < 1 || n <= m {
+                return Err(format!("need m >= 1 and n > m, got n={n}, m={m}"));
+            }
+            gen::barabasi_albert(n, m, seed)
+        }
+        "ws" => {
+            let (n, k) = (count(0)?, count(1)?);
+            if k < 2 || !k.is_multiple_of(2) || n <= k {
+                return Err(format!("need k even, k >= 2 and n > k, got n={n}, k={k}"));
+            }
+            gen::watts_strogatz(n, k, probability("beta", arg(2)?)?, seed)
+        }
+        "geometric" => gen::random_geometric(count(0)?, arg(1)?, seed),
+        "pace" => {
+            let n = count(0)?;
+            gen::pace_like(n, part_count("communities", count(1)?, n)?, seed)
+        }
+        "components" => {
+            let n = count(0)?;
+            gen::sparse_components(n, part_count("parts", count(1)?, n)?, arg(2)?, seed)
+        }
+        "bipartite" => gen::bipartite_gnp(count(0)?, count(1)?, probability("p", arg(2)?)?, seed),
+        "grid" => gen::grid2d(count(0)?, count(1)?),
         other => return Err(format!("unknown family '{other}'")),
     })
+}
+
+/// `p` if it is a probability (NaN is not).
+fn probability(name: &str, p: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("{name} must be in [0, 1], got {p}"))
+    }
+}
+
+/// `k` if it is a part count for `n` vertices, in `1..=n`.
+fn part_count(name: &str, k: u32, n: u32) -> Result<u32, String> {
+    if (1..=n).contains(&k) {
+        Ok(k)
+    } else {
+        Err(format!("{name} must be in 1..={n}, got {k}"))
+    }
 }
 
 /// Attaches the weight channel a `w=` suffix or `--weights` flag names:
@@ -142,15 +197,51 @@ pub fn attach_weights(g: CsrGraph, spec: &str, seed: u64) -> Result<CsrGraph, St
     }
 }
 
+/// Parses a `gen:<ops>[:<insert_frac>][@seed]` edit spec into the
+/// seeded batch [`gen::edit_script`] draws against `g`: `ops`
+/// operations, a share `insert_frac` (default 0.5) of them insertions,
+/// under `seed` (default [`DEFAULT_SEED`]).
+///
+/// Returns `Ok(None)` when `spec` does not start with `gen:` (it names
+/// a script file or inline ops instead), and `Err` for a malformed
+/// `gen:` body.
+pub fn parse_edits(spec: &str, g: &CsrGraph) -> Result<Option<EditScript>, String> {
+    let Some(body) = spec.strip_prefix("gen:") else {
+        return Ok(None);
+    };
+    let (body, seed) = match body.split_once('@') {
+        Some((b, s)) => (
+            b,
+            s.parse()
+                .map_err(|_| format!("bad seed '{s}' in edit spec '{spec}'"))?,
+        ),
+        None => (body, DEFAULT_SEED),
+    };
+    let mut parts = body.split(':');
+    let ops: usize = parts
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| format!("edit spec '{spec}': expected gen:<ops>[:<insert_frac>][@seed]"))?;
+    let frac: f64 = match parts.next() {
+        Some(t) => t
+            .parse()
+            .map_err(|_| format!("bad insert fraction '{t}' in edit spec '{spec}'"))?,
+        None => 0.5,
+    };
+    Ok(Some(gen::edit_script(g, ops, frac, seed)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn non_family_is_none() {
         assert_eq!(parse("graphs/foo.dimacs").unwrap(), None);
         assert_eq!(parse("no-colon-at-all").unwrap(), None);
         assert_eq!(parse("unknownfam:10:0.5").unwrap(), None);
+        assert_eq!(parse("notafamily:1:2:w=uniform").unwrap(), None);
     }
 
     #[test]
@@ -173,6 +264,12 @@ mod tests {
         assert_eq!(g.weight(0), 3); // corner: degree 2 + 1
         let u = parse("gnp:20:0.2@3:w=uniform:5").unwrap().unwrap();
         assert!(u.weights().unwrap().iter().all(|&w| (1..=5).contains(&w)));
+        let default_max = parse("gnp:20:0.2@3:w=uniform").unwrap().unwrap();
+        let weights = default_max.weights().unwrap();
+        assert!(weights.iter().all(|&w| (1..=10).contains(&w)));
+        assert!(weights.iter().any(|&w| w > 5), "the default maximum is 10");
+        let plain = parse("gnp:20:0.2@3").unwrap().unwrap();
+        assert_eq!(default_max.without_weights(), plain, "structure unchanged");
         let unit = parse("gnp:20:0.2@3:w=unit").unwrap().unwrap();
         assert!(unit.weights().unwrap().iter().all(|&w| w == 1));
     }
@@ -186,6 +283,61 @@ mod tests {
             .unwrap_err()
             .contains("weight spec"));
         assert!(attach_weights(gen::grid2d(2, 2), "uniform:0", 1).is_err());
+    }
+
+    /// Each argument a generator asserts on is refused by name, and the
+    /// boundary values on the accepting side still build.
+    #[test]
+    fn out_of_range_arguments_are_errors_that_name_them() {
+        for (spec, names) in [
+            ("gnp:30:2", "p must be in [0, 1]"),
+            ("gnp:30:-0.5", "p must be in [0, 1]"),
+            ("gnp:30:NaN", "p must be in [0, 1]"),
+            ("bipartite:5:5:2", "p must be in [0, 1]"),
+            ("phat:30:0", "class must be 1, 2 or 3"),
+            ("phat:30:4", "class must be 1, 2 or 3"),
+            ("ba:5:0", "m >= 1"),
+            ("ba:10:20", "n > m"),
+            ("ws:10:3:0.5", "k even"),
+            ("ws:30:40:0.1", "n > k"),
+            ("ws:30:4:2", "beta must be in [0, 1]"),
+            ("components:60:0:0.4", "parts must be in 1..=60"),
+            ("pace:5:6", "communities must be in 1..=5"),
+        ] {
+            let err = parse(spec).expect_err(spec);
+            assert!(err.contains(names), "{spec}: {err}");
+        }
+        for spec in [
+            "gnp:30:0",
+            "gnp:30:1",
+            "phat:30:3",
+            "ba:2:1",
+            "ws:3:2:1",
+            "components:5:5:0.5",
+            "pace:5:1",
+        ] {
+            assert!(parse(spec).unwrap().is_some(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn edit_specs_parse_or_fall_through() {
+        let g = gen::gnp(20, 0.2, 1);
+        assert_eq!(parse_edits("+e 0 1", &g).unwrap(), None);
+        assert_eq!(parse_edits("edits.txt", &g).unwrap(), None);
+        let defaults = parse_edits("gen:6", &g).unwrap().unwrap();
+        assert_eq!(defaults, gen::edit_script(&g, 6, 0.5, DEFAULT_SEED));
+        let given = parse_edits("gen:6:0.8@7", &g).unwrap().unwrap();
+        assert_eq!(given, gen::edit_script(&g, 6, 0.8, 7));
+        for (spec, says) in [
+            ("gen:x", "expected gen:<ops>"),
+            ("gen:", "expected gen:<ops>"),
+            ("gen:3:y", "bad insert fraction"),
+            ("gen:3@z", "bad seed"),
+        ] {
+            let err = parse_edits(spec, &g).expect_err(spec);
+            assert!(err.contains(says), "{spec}: {err}");
+        }
     }
 
     #[test]
@@ -205,6 +357,84 @@ mod tests {
                 .unwrap()
                 .unwrap_or_else(|| panic!("{spec} not a spec?"));
             assert!(g.num_vertices() > 0, "{spec}");
+        }
+    }
+
+    /// Numeric tokens for the totality properties: in range, at and
+    /// past the bounds, negative, fractional and NaN. None asks for
+    /// more than 64 vertices per argument.
+    const TOKENS: &[&str] = &["0", "1", "2", "3", "0.5", "-1", "1.5", "NaN", "17", "64"];
+
+    /// `family:t1[:|,]t2...[@seed][:w=...]` from 1–4 [`TOKENS`].
+    fn arb_spec() -> impl Strategy<Value = String> {
+        const SEEDS: &[&str] = &["", "@7", "@0", "@x", "@", "@-1"];
+        const WEIGHTS: &[&str] = &[
+            "",
+            ":w=uniform",
+            ":w=uniform:3",
+            ":w=uniform:0",
+            ":w=unit",
+            ":w=degree",
+            ":w=bogus",
+        ];
+        (
+            0..FAMILIES.len(),
+            proptest::collection::vec((0..TOKENS.len(), 0..2usize), 1..5),
+            0..SEEDS.len(),
+            0..WEIGHTS.len(),
+        )
+            .prop_map(|(family, args, seed, weights)| {
+                let mut spec = FAMILIES[family].to_string();
+                for (i, (token, comma)) in args.into_iter().enumerate() {
+                    spec.push(if i > 0 && comma == 1 { ',' } else { ':' });
+                    spec.push_str(TOKENS[token]);
+                }
+                spec + SEEDS[seed] + WEIGHTS[weights]
+            })
+    }
+
+    /// `gen:<ops>[:<frac>][:<extra>][@seed]` over [`TOKENS`] and a few
+    /// non-numbers.
+    fn arb_edit_spec() -> impl Strategy<Value = String> {
+        const PARTS: &[&str] = &["", ":0", ":1", ":0.5", ":-1", ":2", ":NaN", ":y", ":0.5:9"];
+        const SEEDS: &[&str] = &["", "@7", "@x", "@"];
+        (0..TOKENS.len() + 1, 0..PARTS.len(), 0..SEEDS.len()).prop_map(|(ops, part, seed)| {
+            let ops = TOKENS.get(ops).copied().unwrap_or("x");
+            format!("gen:{ops}{}{}", PARTS[part], SEEDS[seed])
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any spec over the families gives `Ok` or `Err`, never a
+        /// panic, and what it builds is a valid graph.
+        #[test]
+        fn spec_parsing_is_total(spec in arb_spec()) {
+            if let Ok(Some(g)) = parse(&spec) {
+                prop_assert!(g.validate().is_ok(), "{spec} built an invalid graph");
+            }
+        }
+
+        /// Any `gen:` edit spec gives `Ok` or `Err` on any graph, down
+        /// to the empty one, and an `Ok` batch applies to that graph.
+        #[test]
+        fn edit_spec_parsing_is_total(spec in arb_edit_spec(), graph in 0usize..6) {
+            let g = match graph {
+                0 => gen::path(0),
+                1 => gen::path(1),
+                2 => gen::path(2),
+                3 => gen::complete(4),
+                4 => gen::with_degree_weights(gen::gnp(12, 0.3, 1)),
+                _ => gen::gnp(12, 0.3, 1),
+            };
+            match parse_edits(&spec, &g) {
+                Ok(None) => prop_assert!(false, "{spec} is a gen: spec"),
+                Ok(Some(script)) => {
+                    prop_assert!(script.apply(&g).is_ok(), "{spec} does not apply");
+                }
+                Err(e) => prop_assert!(!e.is_empty()),
+            }
         }
     }
 }

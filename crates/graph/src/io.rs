@@ -5,10 +5,88 @@
 //! (`p td n m` header, 1-based edge lines). These parsers let real
 //! downloads drop straight into the benchmark suite in place of the
 //! generated stand-ins.
+//!
+//! [`load_instance`] is the one entry point every front end uses to
+//! turn an `<instance>` operand into a graph: a generator spec or a
+//! file in a [`Format`].
 
-use std::io::{BufRead, Write};
+use std::fmt;
+use std::io::{BufRead, BufReader, Write};
 
+use crate::gen::spec;
 use crate::{CsrGraph, GraphBuilder, GraphError};
+
+/// A graph file's format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// DIMACS, read by [`parse_dimacs`].
+    Dimacs,
+    /// A whitespace edge list, read by [`parse_edge_list`].
+    EdgeList,
+}
+
+impl Format {
+    /// Parses a `--format` name: `dimacs` or `edgelist`.
+    pub fn parse(name: &str) -> Result<Format, String> {
+        match name {
+            "dimacs" => Ok(Format::Dimacs),
+            "edgelist" => Ok(Format::EdgeList),
+            other => Err(format!("unknown format '{other}' (dimacs|edgelist)")),
+        }
+    }
+
+    /// The format a path's extension implies: DIMACS for `.dimacs`,
+    /// `.clq` and `.col`, an edge list otherwise.
+    fn of_path(path: &str) -> Format {
+        if [".dimacs", ".clq", ".col"]
+            .iter()
+            .any(|e| path.ends_with(e))
+        {
+            Format::Dimacs
+        } else {
+            Format::EdgeList
+        }
+    }
+}
+
+/// Why [`load_instance`] built no graph. `Display` gives the message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LoadError {
+    /// The source names a generator family but its arguments are
+    /// malformed or out of range.
+    Spec(String),
+    /// The source is a file that cannot be opened or parsed.
+    File(String),
+}
+
+impl fmt::Display for LoadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoadError::Spec(m) | LoadError::File(m) => f.write_str(m),
+        }
+    }
+}
+
+impl std::error::Error for LoadError {}
+
+/// Builds the graph an `<instance>` operand names: a generator spec
+/// (see [`spec::parse`]) when its leading segment is a known family,
+/// and otherwise a file in `format`. With no `format`, the extension
+/// picks it: DIMACS for `.dimacs`, `.clq` and `.col`, an edge list
+/// otherwise.
+pub fn load_instance(source: &str, format: Option<Format>) -> Result<CsrGraph, LoadError> {
+    if let Some(g) = spec::parse(source).map_err(LoadError::Spec)? {
+        return Ok(g);
+    }
+    let file = std::fs::File::open(source)
+        .map_err(|e| LoadError::File(format!("cannot open {source}: {e}")))?;
+    let reader = BufReader::new(file);
+    let parsed = match format.unwrap_or_else(|| Format::of_path(source)) {
+        Format::Dimacs => parse_dimacs(reader),
+        Format::EdgeList => parse_edge_list(reader, None),
+    };
+    parsed.map_err(|e| LoadError::File(format!("cannot parse {source}: {e}")))
+}
 
 /// Parses a DIMACS graph (`c` comments, one `p <format> <n> <m>` line,
 /// `e u v` edge lines with 1-based vertex ids).
@@ -285,6 +363,67 @@ mod tests {
     fn edge_list_empty_input() {
         let g = parse_edge_list(Cursor::new(""), None).unwrap();
         assert_eq!(g.num_vertices(), 0);
+    }
+
+    #[test]
+    fn load_instance_tells_specs_from_files() {
+        let spec = "gnp:20:0.3@4";
+        assert_eq!(
+            load_instance(spec, None),
+            Ok(crate::gen::spec::parse(spec).unwrap().unwrap())
+        );
+        assert!(matches!(
+            load_instance("gnp:20:2", Some(Format::Dimacs)),
+            Err(LoadError::Spec(m)) if m.contains("p must be in [0, 1]")
+        ));
+
+        let g = crate::gen::gnp(12, 0.3, 2);
+        let dir = std::env::temp_dir();
+        let stem = format!("parvc-load-{}", std::process::id());
+        let dimacs = dir.join(format!("{stem}.clq"));
+        let mut text = Vec::new();
+        write_dimacs(&g, "edge", &mut text).unwrap();
+        std::fs::write(&dimacs, &text).unwrap();
+        let dimacs = dimacs.to_str().unwrap();
+        assert_eq!(load_instance(dimacs, None), Ok(g.clone()));
+        assert_eq!(load_instance(dimacs, Some(Format::Dimacs)), Ok(g.clone()));
+        let forced = load_instance(dimacs, Some(Format::EdgeList));
+        assert!(matches!(forced, Err(LoadError::File(m)) if m.starts_with("cannot parse")));
+
+        let edges = dir.join(format!("{stem}.txt"));
+        let mut text = Vec::new();
+        write_edge_list(&g, &mut text).unwrap();
+        std::fs::write(&edges, &text).unwrap();
+        let loaded = load_instance(edges.to_str().unwrap(), None).unwrap();
+        assert_eq!(
+            loaded.edges().collect::<Vec<_>>(),
+            g.edges().collect::<Vec<_>>()
+        );
+
+        let missing = dir.join(format!("{stem}-missing.dimacs"));
+        let missing = load_instance(missing.to_str().unwrap(), None);
+        assert!(matches!(missing, Err(LoadError::File(m)) if m.starts_with("cannot open")));
+        for path in [dimacs, edges.to_str().unwrap()] {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+
+    #[test]
+    fn formats_parse_and_follow_the_extension() {
+        assert_eq!(Format::parse("dimacs"), Ok(Format::Dimacs));
+        assert_eq!(Format::parse("edgelist"), Ok(Format::EdgeList));
+        assert!(Format::parse("bogus")
+            .unwrap_err()
+            .contains("dimacs|edgelist"));
+        for (path, format) in [
+            ("a.dimacs", Format::Dimacs),
+            ("a.clq", Format::Dimacs),
+            ("a.col", Format::Dimacs),
+            ("a.txt", Format::EdgeList),
+            ("a", Format::EdgeList),
+        ] {
+            assert_eq!(Format::of_path(path), format, "{path}");
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   re-solve pipeline (`parvc_core::resolve`), with a seeded fuzz
 //!   generator at [`gen::edit_script`].
 //! * [`io`] — DIMACS and edge-list parsing/serialization so real instances
-//!   can be dropped into the benchmark suite.
+//!   can be dropped into the benchmark suite, and
+//!   [`io::load_instance`], the one loader every front end calls: a
+//!   generator spec or a file in a [`io::Format`], with a malformed
+//!   spec told apart from an unreadable file.
 //! * [`analysis`] — degree statistics used to classify instances into the
 //!   paper's "high-degree" and "low-degree" categories.
 //!

@@ -21,7 +21,7 @@ use crate::{CsrGraph, VertexId};
 /// ```
 pub fn complement(g: &CsrGraph) -> CsrGraph {
     let n = g.num_vertices();
-    let full = (n as u64 * (n as u64 - 1)) / 2;
+    let full = (n as u64 * (n as u64).saturating_sub(1)) / 2;
     let m_comp = (full - g.num_edges()) as usize;
     let mut b = crate::GraphBuilder::with_capacity(n, m_comp);
     for u in 0..n {

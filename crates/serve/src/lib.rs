@@ -43,5 +43,5 @@ pub mod tcp;
 
 pub use cache::{CacheEntry, CacheKey, Objective, ResultCache};
 pub use proto::{parse_request, verb_table_markdown, Request, SolveFlags, VerbHelp, VERBS};
-pub use server::{load_instance, parse_edit_spec, ServeConfig, Server};
+pub use server::{parse_edit_spec, ServeConfig, Server};
 pub use tcp::serve_listener;

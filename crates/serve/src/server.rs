@@ -428,7 +428,7 @@ impl Server {
     // ---- LOAD ----------------------------------------------------
 
     fn do_load(&self, name: &str, instance: &str) -> Result<Vec<(&'static str, Value)>, String> {
-        let graph = load_instance(instance)?;
+        let graph = io::load_instance(instance, None).map_err(|e| e.to_string())?;
         let hash = graph.content_hash();
         let fields = vec![
             ("instance", Value::Str(proto::sanitize(name))),
@@ -826,48 +826,14 @@ fn cover_value(cover: &[u32]) -> Value {
     Value::Arr(cover.iter().map(|&v| Value::Num(u64::from(v))).collect())
 }
 
-/// Builds the graph a `LOAD` operand names: a generator spec when the
-/// leading segment is a known family, otherwise a graph file (DIMACS
-/// for `.dimacs`/`.clq`/`.col`, edge list otherwise).
-pub fn load_instance(spec: &str) -> Result<CsrGraph, String> {
-    if let Some(g) = spec::parse(spec)? {
-        return Ok(g);
-    }
-    let file = std::fs::File::open(spec).map_err(|e| format!("cannot open {spec}: {e}"))?;
-    let reader = std::io::BufReader::new(file);
-    let parsed = if spec.ends_with(".dimacs") || spec.ends_with(".clq") || spec.ends_with(".col") {
-        io::parse_dimacs(reader)
-    } else {
-        io::parse_edge_list(reader, None)
-    };
-    parsed.map_err(|e| format!("cannot parse {spec}: {e}"))
-}
-
-/// Parses a `RESOLVE --edits` operand: `gen:<ops>[:<insert_frac>][@seed]`
-/// (seeded against the instance's current graph) or inline ops in the
-/// `EditScript` text format with `;` between ops and `:` inside them
-/// (`+e:0:5;-v:3` ⇒ "insert edge {0,5}, delete vertex 3").
+/// Parses a `RESOLVE --edits` operand: a `gen:<ops>[:<insert_frac>][@seed]`
+/// spec ([`spec::parse_edits`], seeded against the instance's current
+/// graph) or inline ops in the `EditScript` text format with `;`
+/// between ops and `:` inside them (`+e:0:5;-v:3` ⇒ "insert edge
+/// {0,5}, delete vertex 3").
 pub fn parse_edit_spec(spec: &str, g: &CsrGraph) -> Result<EditScript, String> {
-    if let Some(body) = spec.strip_prefix("gen:") {
-        let (body, seed) = match body.split_once('@') {
-            Some((b, s)) => (
-                b,
-                s.parse::<u64>()
-                    .map_err(|_| format!("bad seed '{s}' in edit spec '{spec}'"))?,
-            ),
-            None => (body, spec::DEFAULT_SEED),
-        };
-        let mut parts = body.split(':');
-        let ops: usize = parts.next().and_then(|t| t.parse().ok()).ok_or_else(|| {
-            format!("edit spec '{spec}': expected gen:<ops>[:<insert_frac>][@seed]")
-        })?;
-        let frac: f64 = match parts.next() {
-            Some(t) => t
-                .parse()
-                .map_err(|_| format!("bad insert fraction '{t}' in edit spec '{spec}'"))?,
-            None => 0.5,
-        };
-        return Ok(parvc_graph::gen::edit_script(g, ops, frac, seed));
+    if let Some(script) = spec::parse_edits(spec, g)? {
+        return Ok(script);
     }
     let text: String = spec
         .split(';')

@@ -9,7 +9,6 @@
 //! cargo run --release --example pace_solver -- [graph.dimacs] [budget-secs]
 //! ```
 
-use std::io::BufReader;
 use std::time::Duration;
 
 use parvc::graph::{gen, io};
@@ -24,11 +23,7 @@ fn main() {
         .unwrap_or(30.0);
 
     let graph = match &path {
-        Some(p) => {
-            let file = std::fs::File::open(p).unwrap_or_else(|e| panic!("cannot open {p}: {e}"));
-            io::parse_dimacs(BufReader::new(file))
-                .unwrap_or_else(|e| panic!("cannot parse {p}: {e}"))
-        }
+        Some(p) => io::load_instance(p, Some(io::Format::Dimacs)).unwrap_or_else(|e| panic!("{e}")),
         None => {
             eprintln!("no input file; generating a PACE-2019-style instance");
             gen::pace_like(160, 7, 4)

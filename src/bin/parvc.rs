@@ -38,7 +38,6 @@
 //! `pace n communities`, `components n parts p`,
 //! `bipartite left right p`, `grid w h`.
 
-use std::io::BufReader;
 use std::time::Duration;
 
 use parvc::core::split::SplitParams;
@@ -584,6 +583,14 @@ fn parse_flags(
     Ok(flags)
 }
 
+/// `r`'s value, or its message and exit 2: the CLI's usage error.
+fn usage_or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// [`parse_flags`] with the CLI's exit-on-usage-error behaviour.
 fn parse_flags_or_exit(
     args: &[String],
@@ -591,10 +598,12 @@ fn parse_flags_or_exit(
     opt_value_flags: &[&str],
     switch_flags: &[&str],
 ) -> Flags {
-    parse_flags(args, value_flags, opt_value_flags, switch_flags).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    usage_or_exit(parse_flags(
+        args,
+        value_flags,
+        opt_value_flags,
+        switch_flags,
+    ))
 }
 
 /// Option `--name` converted by `parse`, if given; a value `parse`
@@ -606,10 +615,22 @@ fn option_or_exit<T>(
     parse: impl FnOnce(&str) -> Option<T>,
 ) -> Option<T> {
     let v = flags.options.get(name)?;
-    Some(parse(v).unwrap_or_else(|| {
-        eprintln!("--{name} takes {takes}, got '{v}'");
-        std::process::exit(2);
-    }))
+    Some(usage_or_exit(
+        parse(v).ok_or_else(|| format!("--{name} takes {takes}, got '{v}'")),
+    ))
+}
+
+/// Option `--name` converted by a `parse` that explains its own
+/// errors, if given; an error exits 2 with that message.
+fn parsed_or_exit<T>(
+    flags: &Flags,
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Option<T> {
+    let v = flags.options.get(name)?;
+    Some(usage_or_exit(
+        parse(v).map_err(|e| format!("--{name}: {e}")),
+    ))
 }
 
 /// A non-negative number of seconds within `Duration`'s range.
@@ -622,77 +643,38 @@ fn seconds_or_exit(flags: &Flags, name: &str) -> Option<Duration> {
     option_or_exit(flags, name, "seconds", seconds)
 }
 
-/// Builds the graph a positional `<instance>` argument names: a
-/// generator spec (`family:args[@seed]`) when the first `:`-segment is
-/// a known family, otherwise a file in `--format` (or inferred from
-/// the extension).
-fn load_instance(spec: &str, format: Option<&str>) -> CsrGraph {
-    match parse_gen_spec(spec) {
-        Some(g) => g,
-        None => load_graph(spec, format),
-    }
-}
-
-/// Parses `family:arg1:arg2[...][@seed][:w=<weights>]` into a
-/// generated graph, or `None` if the leading segment is not a
-/// generator family — a file path may legitimately contain `:` or
-/// `@`, so nothing is rejected before the family name matches.
-///
-/// The optional `:w=` suffix attaches a vertex-weight channel
-/// (`uniform[:max]` for random weights in `1..=max` with max
-/// defaulting to 10, `unit` for all-1, `degree` for `d(v)+1`), turning
-/// the instance into a weighted MVC input, e.g.
-/// `gnp:200:0.05@7:w=uniform`.
-fn parse_gen_spec(spec: &str) -> Option<CsrGraph> {
-    gen::spec::parse(spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
+/// Builds the graph the positional `<instance>` names, through
+/// [`io::load_instance`]. `--format` is parsed first, so a bad name
+/// exits 2 even when the instance is a spec. A malformed spec exits 2;
+/// a file that cannot be opened or parsed exits 1.
+fn instance_or_exit(cmd: &str, flags: &Flags) -> CsrGraph {
+    let format = parsed_or_exit(flags, "format", io::Format::parse);
+    let Some(source) = flags.positional.first() else {
+        eprintln!("{cmd}: missing instance (file or generator spec)");
         std::process::exit(2);
-    })
-}
-
-/// Attaches the weight channel a `w=` spec or `--weights` flag names:
-/// `uniform[:max]` (random in `1..=max`, default max 10, seeded like
-/// the generator), `unit` (all-1), or `degree` (`d(v)+1`).
-fn attach_weights(g: CsrGraph, spec: &str, seed: u64) -> CsrGraph {
-    gen::spec::attach_weights(g, spec, seed).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-/// The shared family dispatch used by `generate` and the spec syntax.
-fn generate_family(family: &str, seed: u64, args: &[f64]) -> CsrGraph {
-    gen::spec::generate(family, seed, args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-fn load_graph(path: &str, format: Option<&str>) -> CsrGraph {
-    let format = format.map(str::to_string).unwrap_or_else(|| {
-        if path.ends_with(".dimacs") || path.ends_with(".clq") || path.ends_with(".col") {
-            "dimacs".into()
-        } else {
-            "edgelist".into()
-        }
-    });
-    let file = std::fs::File::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        std::process::exit(1);
-    });
-    let reader = BufReader::new(file);
-    let result = match format.as_str() {
-        "dimacs" => io::parse_dimacs(reader),
-        "edgelist" => io::parse_edge_list(reader, None),
-        other => {
-            eprintln!("unknown format '{other}' (dimacs|edgelist)");
-            std::process::exit(2);
-        }
     };
-    result.unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
+    io::load_instance(source, format).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(match e {
+            io::LoadError::Spec(_) => 2,
+            io::LoadError::File(_) => 1,
+        });
     })
+}
+
+/// Writes `contents` to `path`, or exits 1 with a message.
+fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    });
+}
+
+/// `g` as DIMACS text.
+fn dimacs_text(g: &CsrGraph) -> Vec<u8> {
+    let mut text = Vec::new();
+    io::write_dimacs(g, "edge", &mut text).expect("writing to memory cannot fail");
+    text
 }
 
 /// Parses a `d012,crown,highdeg,split` stage list into a [`PrepConfig`]
@@ -730,11 +712,37 @@ fn policy_or_exit(flags: &Flags) -> Algorithm {
         .options
         .get("policy")
         .or_else(|| flags.options.get("algorithm"));
-    name.map_or(Ok(Algorithm::Hybrid), |p| Algorithm::parse(p))
-        .unwrap_or_else(|err| {
-            eprintln!("{err}");
-            std::process::exit(2);
-        })
+    usage_or_exit(name.map_or(Ok(Algorithm::Hybrid), |p| Algorithm::parse(p)))
+}
+
+/// The solver options `solve` and `resolve` share: policy, deadline,
+/// threads, exec, prep, weighted and telemetry. Exits 2 on a malformed
+/// value.
+fn solver_builder_or_exit(flags: &Flags) -> SolverBuilder {
+    let mut builder = Solver::builder()
+        .algorithm(policy_or_exit(flags))
+        .deadline(seconds_or_exit(flags, "deadline"));
+    // --threads caps the resident thread blocks (one OS thread each);
+    // --blocks is the historical alias.
+    let count = |name| option_or_exit(flags, name, "a count", |v| v.parse().ok());
+    if let Some(blocks) = count("threads").or_else(|| count("blocks")) {
+        builder = builder.grid_limit(Some(blocks));
+    }
+    if let Some(spec) = parsed_or_exit(flags, "exec", ExecutorSpec::parse) {
+        builder = builder.executor(spec);
+    }
+    if flags.switches.contains("prep") || flags.options.contains_key("prep-rules") {
+        builder = builder.preprocess(parse_prep_rules(flags.options.get("prep-rules")));
+    }
+    if flags.switches.contains("weighted") {
+        builder = builder.weighted();
+    }
+    // --trace-out / --metrics-out turn on the recording sink (zero
+    // overhead otherwise).
+    if flags.options.contains_key("trace-out") || flags.options.contains_key("metrics-out") {
+        builder = builder.telemetry(parvc::core::TelemetryConfig::default());
+    }
+    builder
 }
 
 fn cmd_solve(args: &[String]) {
@@ -757,32 +765,8 @@ fn cmd_solve(args: &[String]) {
         &["component-branching", "timeline", "progress"],
         &["prep", "weighted"],
     );
-    let Some(path) = flags.positional.first() else {
-        eprintln!("solve: missing instance (file or generator spec)");
-        std::process::exit(2);
-    };
-    let g = load_instance(path, flags.options.get("format").map(String::as_str));
-    let algorithm = policy_or_exit(&flags);
-    let mut builder = Solver::builder().algorithm(algorithm);
-    builder = builder.deadline(seconds_or_exit(&flags, "deadline"));
-    // --threads caps the resident thread blocks (one OS thread each);
-    // --blocks is the historical alias.
-    let count = |name| option_or_exit(&flags, name, "a count", |v| v.parse().ok());
-    if let Some(blocks) = count("threads").or_else(|| count("blocks")) {
-        builder = builder.grid_limit(Some(blocks));
-    }
-    if let Some(e) = flags.options.get("exec") {
-        let spec = ExecutorSpec::parse(e).unwrap_or_else(|err| {
-            eprintln!("--exec: {err}");
-            std::process::exit(2);
-        });
-        builder = builder.executor(spec);
-    }
-    if let Some(s) = flags.options.get("seed") {
-        let strategy = parvc::core::SeedStrategy::parse(s).unwrap_or_else(|err| {
-            eprintln!("--seed: {err}");
-            std::process::exit(2);
-        });
+    let mut builder = solver_builder_or_exit(&flags);
+    if let Some(strategy) = parsed_or_exit(&flags, "seed", parvc::core::SeedStrategy::parse) {
         builder = builder.seed(strategy);
     }
     // `--component-branching` (default trigger) or
@@ -796,21 +780,8 @@ fn cmd_solve(args: &[String]) {
     } else if flags.switches.contains("component-branching") {
         builder = builder.component_branching_params(SplitParams::default());
     }
-    if flags.switches.contains("prep") || flags.options.contains_key("prep-rules") {
-        builder = builder.preprocess(parse_prep_rules(flags.options.get("prep-rules")));
-    }
-    let weighted = flags.switches.contains("weighted");
-    if weighted {
-        builder = builder.weighted();
-    }
-    // Observability: --trace-out / --metrics-out turn on the recording
-    // sink (zero overhead otherwise), --timeline needs the model-cycle
-    // span logs, --progress attaches the heartbeat.
-    let trace_out = flags.options.get("trace-out").cloned();
-    let metrics_out = flags.options.get("metrics-out").cloned();
-    if trace_out.is_some() || metrics_out.is_some() {
-        builder = builder.telemetry(parvc::core::TelemetryConfig::default());
-    }
+    // --timeline needs the model-cycle span logs, --progress attaches
+    // the heartbeat.
     let timeline = option_or_exit(&flags, "timeline", "a column count", |v| v.parse().ok())
         .or_else(|| flags.switches.contains("timeline").then_some(100));
     if timeline.is_some() {
@@ -821,7 +792,14 @@ fn cmd_solve(args: &[String]) {
     } else if flags.switches.contains("progress") {
         builder = builder.progress(Duration::from_secs(5));
     }
+    let weighted = flags.switches.contains("weighted");
+    let k = option_or_exit(&flags, "k", "a cover size", |v| v.parse::<u32>().ok());
+    if k.is_some() && weighted {
+        eprintln!("--weighted applies to MVC; PVC (--k) is a cardinality question");
+        std::process::exit(2);
+    }
     let solver = builder.build();
+    let g = instance_or_exit("solve", &flags);
 
     eprintln!(
         "instance: |V|={}, |E|={}{}",
@@ -835,12 +813,8 @@ fn cmd_solve(args: &[String]) {
             ""
         }
     );
-    match option_or_exit(&flags, "k", "a cover size", |v| v.parse::<u32>().ok()) {
+    match k {
         Some(k) => {
-            if weighted {
-                eprintln!("--weighted applies to MVC; PVC (--k) is a cardinality question");
-                std::process::exit(2);
-            }
             let r = solver.solve_pvc(&g, k);
             match &r.cover {
                 Some(cover) => {
@@ -856,7 +830,7 @@ fn cmd_solve(args: &[String]) {
                 r.stats.tree_nodes,
                 r.stats.seconds()
             );
-            emit_observability(&r.stats, trace_out.as_ref(), metrics_out.as_ref(), timeline);
+            emit_observability(&r.stats, &flags, timeline);
         }
         None => {
             let r = solver.solve_mvc(&g);
@@ -902,37 +876,27 @@ fn cmd_solve(args: &[String]) {
                     splits.taken, splits.checks, splits.components
                 );
             }
-            emit_observability(&r.stats, trace_out.as_ref(), metrics_out.as_ref(), timeline);
+            emit_observability(&r.stats, &flags, timeline);
         }
     }
 }
 
-/// Writes the post-solve observability outputs `cmd_solve`'s flags
-/// requested: the Chrome trace and flat metrics snapshot drained from
-/// `stats.telemetry`, plus the per-block model-cycle activity timeline.
-fn emit_observability(
-    stats: &parvc::core::SolveStats,
-    trace_out: Option<&String>,
-    metrics_out: Option<&String>,
-    timeline: Option<usize>,
-) {
-    let write = |path: &String, contents: String| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-    };
+/// Writes the post-solve observability outputs the `--trace-out`,
+/// `--metrics-out` and `--timeline` flags requested: the Chrome trace
+/// and flat metrics snapshot drained from `stats.telemetry`, plus the
+/// per-block model-cycle activity timeline.
+fn emit_observability(stats: &parvc::core::SolveStats, flags: &Flags, timeline: Option<usize>) {
     if let Some(snap) = &stats.telemetry {
-        if let Some(path) = trace_out {
-            write(path, snap.chrome_trace());
+        if let Some(path) = flags.options.get("trace-out") {
+            write_or_exit(path, snap.chrome_trace());
             eprintln!(
                 "wrote Chrome trace ({} spans) to {path} — open in Perfetto \
                  or chrome://tracing",
                 snap.spans.len()
             );
         }
-        if let Some(path) = metrics_out {
-            write(path, snap.metrics_json());
+        if let Some(path) = flags.options.get("metrics-out") {
+            write_or_exit(path, snap.metrics_json());
             eprint!("{}", snap.metrics_table());
             eprintln!("wrote metrics snapshot to {path}");
         }
@@ -946,36 +910,12 @@ fn emit_observability(
 }
 
 /// Parses the `--edits` value: a `gen:<ops>[:<insert_frac>][@seed]`
-/// generator spec (seeded against the loaded instance) or a script
-/// file in the `EditScript` text format.
+/// spec ([`gen::spec::parse_edits`], seeded against the loaded
+/// instance; malformed exits 2) or a script file in the `EditScript`
+/// text format (unreadable or malformed exits 1).
 fn load_edits(spec: &str, g: &CsrGraph) -> parvc::graph::EditScript {
-    if let Some(body) = spec.strip_prefix("gen:") {
-        let (body, seed) = match body.split_once('@') {
-            Some((b, s)) => (
-                b,
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad seed '{s}' in edit spec '{spec}'");
-                    std::process::exit(2);
-                }),
-            ),
-            None => (body, 42u64),
-        };
-        let mut parts = body.split(':');
-        let ops: usize = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("edit spec '{spec}': expected gen:<ops>[:<insert_frac>][@seed]");
-                std::process::exit(2);
-            });
-        let frac: f64 = match parts.next() {
-            Some(t) => t.parse().unwrap_or_else(|_| {
-                eprintln!("bad insert fraction '{t}' in edit spec '{spec}'");
-                std::process::exit(2);
-            }),
-            None => 0.5,
-        };
-        return gen::edit_script(g, ops, frac, seed);
+    if let Some(script) = usage_or_exit(gen::spec::parse_edits(spec, g)) {
+        return script;
     }
     let text = std::fs::read_to_string(spec).unwrap_or_else(|e| {
         eprintln!("cannot read edit script {spec}: {e}");
@@ -1006,44 +946,14 @@ fn cmd_resolve(args: &[String]) {
         &[],
         &["prep", "weighted"],
     );
-    let Some(path) = flags.positional.first() else {
-        eprintln!("resolve: missing instance (file or generator spec)");
-        std::process::exit(2);
-    };
+    let solver = solver_builder_or_exit(&flags).build();
+    let weighted = flags.switches.contains("weighted");
     let Some(edit_spec) = flags.options.get("edits") else {
         eprintln!("resolve: --edits <script-file|gen:<ops>[:<frac>][@seed]> is required");
         std::process::exit(2);
     };
-    let g = load_instance(path, flags.options.get("format").map(String::as_str));
+    let g = instance_or_exit("resolve", &flags);
     let edits = load_edits(edit_spec, &g);
-
-    let algorithm = policy_or_exit(&flags);
-    let mut builder = Solver::builder().algorithm(algorithm);
-    builder = builder.deadline(seconds_or_exit(&flags, "deadline"));
-    let count = |name| option_or_exit(&flags, name, "a count", |v| v.parse().ok());
-    if let Some(blocks) = count("threads").or_else(|| count("blocks")) {
-        builder = builder.grid_limit(Some(blocks));
-    }
-    if let Some(e) = flags.options.get("exec") {
-        let spec = ExecutorSpec::parse(e).unwrap_or_else(|err| {
-            eprintln!("--exec: {err}");
-            std::process::exit(2);
-        });
-        builder = builder.executor(spec);
-    }
-    if flags.switches.contains("prep") || flags.options.contains_key("prep-rules") {
-        builder = builder.preprocess(parse_prep_rules(flags.options.get("prep-rules")));
-    }
-    let weighted = flags.switches.contains("weighted");
-    if weighted {
-        builder = builder.weighted();
-    }
-    let trace_out = flags.options.get("trace-out").cloned();
-    let metrics_out = flags.options.get("metrics-out").cloned();
-    if trace_out.is_some() || metrics_out.is_some() {
-        builder = builder.telemetry(parvc::core::TelemetryConfig::default());
-    }
-    let solver = builder.build();
 
     eprintln!(
         "instance: |V|={}, |E|={}{}",
@@ -1117,30 +1027,15 @@ fn cmd_resolve(args: &[String]) {
         initial.stats.tree_nodes,
         s.uf_rebuilds
     );
-    emit_observability(
-        &r.result.stats,
-        trace_out.as_ref(),
-        metrics_out.as_ref(),
-        None,
-    );
+    emit_observability(&r.result.stats, &flags, None);
 }
 
 fn cmd_approx(args: &[String]) {
     let flags = parse_flags_or_exit(args, &["exec", "format"], &[], &["weighted"]);
-    let Some(path) = flags.positional.first() else {
-        eprintln!("approx: missing instance (file or generator spec)");
-        std::process::exit(2);
-    };
-    let g = load_instance(path, flags.options.get("format").map(String::as_str));
-    let exec = match flags.options.get("exec") {
-        Some(e) => ExecutorSpec::parse(e)
-            .unwrap_or_else(|err| {
-                eprintln!("--exec: {err}");
-                std::process::exit(2);
-            })
-            .build(),
-        None => ExecutorSpec::Serial.build(),
-    };
+    let exec = parsed_or_exit(&flags, "exec", ExecutorSpec::parse)
+        .unwrap_or(ExecutorSpec::Serial)
+        .build();
+    let g = instance_or_exit("approx", &flags);
     let weighted = flags.switches.contains("weighted");
     eprintln!(
         "instance: |V|={}, |E|={}{}",
@@ -1207,13 +1102,8 @@ fn cmd_serve(args: &[String]) {
         &["no-prep"],
     );
     let algorithm = policy_or_exit(&flags);
-    let executor = match flags.options.get("exec") {
-        Some(spec) => ExecutorSpec::parse(spec).unwrap_or_else(|e| {
-            eprintln!("--exec: {e}");
-            std::process::exit(2);
-        }),
-        None => ExecutorSpec::Serial,
-    };
+    let executor =
+        parsed_or_exit(&flags, "exec", ExecutorSpec::parse).unwrap_or(ExecutorSpec::Serial);
     let numeric = |name: &str, default: usize| {
         option_or_exit(&flags, name, "a non-negative integer", |v| v.parse().ok())
             .unwrap_or(default)
@@ -1229,6 +1119,11 @@ fn cmd_serve(args: &[String]) {
         cache_path: flags.options.get("cache-file").map(Into::into),
         telemetry: false,
     };
+    // Parsed before the mode is picked, so script mode refuses it too.
+    let workers: u32 = option_or_exit(&flags, "workers", "a non-negative integer", |v| {
+        v.parse().ok()
+    })
+    .unwrap_or(4);
     let server = parvc::serve::Server::new(cfg);
 
     // Offline mode: replay a request script and exit.
@@ -1266,7 +1161,6 @@ fn cmd_serve(args: &[String]) {
         eprintln!("cannot bind {listen}: {e}");
         std::process::exit(1);
     });
-    let workers = numeric("workers", 4) as u32;
     eprintln!(
         "parvc serve: listening on {listen} ({workers} workers, high-water {}, cache {} entries)",
         server.config().high_water,
@@ -1281,13 +1175,9 @@ fn cmd_serve(args: &[String]) {
 
 fn cmd_prep(args: &[String]) {
     let flags = parse_flags_or_exit(args, &["format", "out", "rules"], &[], &["weighted"]);
-    let Some(path) = flags.positional.first() else {
-        eprintln!("prep: missing instance (file or generator spec)");
-        std::process::exit(2);
-    };
-    let g = load_instance(path, flags.options.get("format").map(String::as_str));
     let mut cfg = parse_prep_rules(flags.options.get("rules"));
     cfg.weighted = flags.switches.contains("weighted");
+    let g = instance_or_exit("prep", &flags);
     let start = std::time::Instant::now();
     let kernel = preprocess(&g, &cfg);
     let elapsed = start.elapsed();
@@ -1344,13 +1234,7 @@ fn cmd_prep(args: &[String]) {
         }
     }
     if let Some(out) = flags.options.get("out") {
-        let file = std::fs::File::create(out).expect("cannot create output file");
-        io::write_dimacs(
-            &kernel.kernel_graph(),
-            "edge",
-            std::io::BufWriter::new(file),
-        )
-        .expect("write failed");
+        write_or_exit(out, dimacs_text(&kernel.kernel_graph()));
         eprintln!("wrote the kernel (disjoint component union) to {out}");
     }
 }
@@ -1372,14 +1256,13 @@ fn cmd_generate(args: &[String]) {
             })
         })
         .collect();
-    let mut g = generate_family(family, seed, &fam_args);
+    let mut g = usage_or_exit(gen::spec::generate(family, seed, &fam_args));
     if let Some(w) = flags.options.get("weights") {
-        g = attach_weights(g, w, seed);
+        g = usage_or_exit(gen::spec::attach_weights(g, w, seed));
     }
     match flags.options.get("out") {
         Some(path) => {
-            let file = std::fs::File::create(path).expect("cannot create output file");
-            io::write_dimacs(&g, "edge", std::io::BufWriter::new(file)).expect("write failed");
+            write_or_exit(path, dimacs_text(&g));
             eprintln!(
                 "wrote |V|={}, |E|={} to {path}",
                 g.num_vertices(),
@@ -1394,11 +1277,7 @@ fn cmd_generate(args: &[String]) {
 
 fn cmd_analyze(args: &[String]) {
     let flags = parse_flags_or_exit(args, &["format"], &[], &[]);
-    let Some(path) = flags.positional.first() else {
-        eprintln!("analyze: missing instance (file or generator spec)");
-        std::process::exit(2);
-    };
-    let g = load_instance(path, flags.options.get("format").map(String::as_str));
+    let g = instance_or_exit("analyze", &flags);
     let stats = analysis::degree_stats(&g);
     let (_, components) = ops::connected_components(&g);
     println!("vertices:        {}", g.num_vertices());
@@ -1636,42 +1515,6 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("component-branching=4"), "got: {err}");
-    }
-
-    #[test]
-    fn weighted_gen_specs_attach_the_channel() {
-        let g = parse_gen_spec("gnp:20:0.2@7:w=uniform").expect("known family");
-        assert!(g.is_weighted());
-        assert_eq!(g.num_vertices(), 20);
-        assert!((1..=10).contains(&g.weight(0)));
-        // Same core spec without the channel: identical structure.
-        let plain = parse_gen_spec("gnp:20:0.2@7").unwrap();
-        assert_eq!(plain, g.clone().without_weights());
-
-        let caps = parse_gen_spec("gnp:20:0.2@7:w=uniform:3").unwrap();
-        assert!(caps
-            .weights()
-            .unwrap()
-            .iter()
-            .all(|&w| (1..=3).contains(&w)));
-
-        let unit = parse_gen_spec("grid:3:4:w=unit").unwrap();
-        assert_eq!(unit.weights(), Some(&[1u64; 12][..]));
-
-        let deg = parse_gen_spec("grid:2:2:w=degree").unwrap();
-        assert_eq!(deg.weight(0), 3); // corner: degree 2 + 1
-
-        // Unknown families still fall through to file handling.
-        assert!(parse_gen_spec("notafamily:1:2:w=uniform").is_none());
-    }
-
-    /// `,` and `:` are interchangeable between a spec's numeric
-    /// arguments.
-    #[test]
-    fn comma_separated_specs_match_colon_form() {
-        let colon = parse_gen_spec("gnp:20:0.2@7").unwrap();
-        let comma = parse_gen_spec("gnp:20,0.2@7").unwrap();
-        assert_eq!(colon, comma);
     }
 
     /// `docs/cli.md` is the committed output of `parvc help --markdown`.

@@ -10,6 +10,8 @@
 //! * LRU eviction and the disk persistence round trip — a restarted
 //!   server answers from yesterday's cache file, and a cache file that
 //!   cannot be written only counts failures;
+//! * a `LOAD` of a generator spec with out-of-range arguments is an
+//!   error line, counted, and the server keeps answering;
 //! * overload shedding returns certified 2-approximations: valid
 //!   covers within 2× of the brute-force optimum, with sound lower
 //!   bounds (the oracle contract `tests/approx_safety.rs` pins for
@@ -484,6 +486,88 @@ fn an_over_long_request_line_is_refused_and_the_server_stays_up() {
             writeln!(writer, "QUIT").expect("quit");
         }));
 
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        serving.join().expect("serving thread");
+        if let Err(failure) = checks {
+            resume_unwind(failure);
+        }
+    });
+}
+
+/// Generator specs whose arguments are out of range, one per argument
+/// a generator checks.
+const OUT_OF_RANGE_SPECS: &[&str] = &[
+    "gnp:30:2",
+    "gnp:30:-0.5",
+    "gnp:30:NaN",
+    "bipartite:5:5:2",
+    "phat:30:0",
+    "ba:5:0",
+    "ba:10:20",
+    "ws:10:3:0.5",
+    "ws:30:40:0.1",
+    "ws:30:4:2",
+    "components:60:0:0.4",
+    "pace:5:6",
+];
+
+/// A `LOAD` of an out-of-range spec answers an error line and counts
+/// as an error; the `LOAD` and `SOLVE` after it answer, in process and
+/// on the same TCP connection.
+#[test]
+fn an_out_of_range_spec_is_refused_and_the_server_stays_up() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let server = Server::new(ServeConfig::default());
+    for spec in OUT_OF_RANGE_SPECS {
+        let line = format!("LOAD bad {spec}");
+        let response = server.handle(&line).expect("LOAD answers");
+        let refused = parse(&response).unwrap_or_else(|e| panic!("bad answer to {line}: {e}"));
+        assert!(!is_true(&refused, "ok"), "{line}: {response}");
+    }
+    handle(&server, "LOAD good gnp:30:0.2@1");
+    let solved = handle(&server, "SOLVE good");
+    assert!(parvc::core::is_vertex_cover(
+        &gen::gnp(30, 0.2, 1),
+        &cover(&solved)
+    ));
+    let stats = handle(&server, "STATS");
+    let requests = stats.get("requests").expect("STATS has request counts");
+    assert_eq!(num(requests, "errors"), OUT_OF_RANGE_SPECS.len() as u64);
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let server = Server::new(ServeConfig::default());
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let serving = scope
+            .spawn(|| parvc::serve::serve_listener(&server, &listener, 2, &stop).expect("serve"));
+        // A failed check must still stop the server, or the scope would
+        // wait for it forever.
+        let checks = catch_unwind(AssertUnwindSafe(|| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .expect("read timeout");
+            let mut writer = stream.try_clone().expect("clone stream");
+            let mut reader = BufReader::new(stream);
+            let mut ask = |line: &str| -> Value {
+                writeln!(writer, "{line}").expect("send");
+                let mut response = String::new();
+                reader.read_line(&mut response).expect("receive");
+                parse(&response).unwrap_or_else(|e| panic!("bad answer to '{line}': {e}"))
+            };
+            for spec in OUT_OF_RANGE_SPECS {
+                assert!(!is_true(&ask(&format!("LOAD bad {spec}")), "ok"), "{spec}");
+            }
+            assert!(is_true(&ask("LOAD good gnp:30:0.2@1"), "ok"));
+            assert!(is_true(&ask("SOLVE good"), "ok"));
+            writeln!(writer, "QUIT").expect("quit");
+        }));
         stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
         serving.join().expect("serving thread");
