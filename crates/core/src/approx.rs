@@ -1,5 +1,5 @@
-//! The ultra-fast approximate tier: provably 2×-bounded covers that
-//! seed the exact engine.
+//! The ultra-fast approximate tier: provably 2×-bounded covers, each
+//! with a lower-bound certificate.
 //!
 //! Two algorithms, both linear-ish and both carrying a *certificate*:
 //!
@@ -40,12 +40,12 @@
 //!
 //! ## Where it plugs in
 //!
-//! [`SeedStrategy::Approx`] replaces the `O(best·|V|)` greedy seeds at
-//! every call site that only needs an upper bound: the solver launch,
-//! `split.rs` sub-instance budgets, and the resolve warm-seed repair
-//! (which rides on solver seeding). Independently of the strategy, the
-//! weighted split path always takes `max(matching, dual)` as its
-//! per-component lower bound via [`parvc_prep::weighted_lower_bound`].
+//! The tier answers on its own: `parvc approx`, the server's
+//! `SOLVE --approx` and its load-shedding path. It does not seed the
+//! exact engine, which starts from the greedy sweep (§II-B) at launch
+//! and in every split component. The weighted split path takes
+//! `max(matching, dual)` as its per-component lower bound via
+//! [`parvc_prep::weighted_lower_bound`].
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -60,39 +60,6 @@ pub const COMPRESS_BELOW: usize = 64;
 
 /// "No pick" sentinel in the handshake pick array.
 const NIL: u32 = u32::MAX;
-
-/// Which initial-bound algorithm seeds a solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SeedStrategy {
-    /// The reduction-driven greedy seeds (`greedy_mvc` /
-    /// `greedy_weighted_mvc`): usually tighter, but `O(best·|V|)` and
-    /// certificate-free.
-    #[default]
-    Greedy,
-    /// The approximate tier: linear-time covers within 2× of the
-    /// optimum, with a matching / dual lower-bound certificate.
-    Approx,
-}
-
-impl SeedStrategy {
-    /// Parses `greedy` or `approx` (the CLI's `--seed` values).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "greedy" => Ok(SeedStrategy::Greedy),
-            "approx" => Ok(SeedStrategy::Approx),
-            _ => Err(format!("unknown seed strategy '{s}' (greedy | approx)")),
-        }
-    }
-}
-
-impl std::fmt::Display for SeedStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SeedStrategy::Greedy => write!(f, "greedy"),
-            SeedStrategy::Approx => write!(f, "approx"),
-        }
-    }
-}
 
 /// An approximate cover plus its quality certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -360,15 +327,6 @@ mod tests {
         );
         assert!(is_vertex_cover(&g, &w.cover));
         assert!(is_vertex_cover(&g, &u.cover));
-    }
-
-    #[test]
-    fn seed_strategy_parses_and_displays() {
-        assert_eq!(SeedStrategy::parse("greedy"), Ok(SeedStrategy::Greedy));
-        assert_eq!(SeedStrategy::parse("approx"), Ok(SeedStrategy::Approx));
-        assert!(SeedStrategy::parse("fast").is_err());
-        assert_eq!(SeedStrategy::Approx.to_string(), "approx");
-        assert_eq!(SeedStrategy::default(), SeedStrategy::Greedy);
     }
 
     #[test]

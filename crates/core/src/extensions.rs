@@ -52,12 +52,6 @@ pub struct Extensions {
     /// [`SolverBuilder::component_branching`](crate::SolverBuilder::component_branching)
     /// or the `ComponentSteal` policy).
     pub component_branching: Option<SplitParams>,
-    /// Which algorithm produces the initial upper bounds — the solve
-    /// launch seed and `split`'s per-component sub-instance budgets
-    /// (see [`crate::approx`]). Greedy in both [`Extensions::NONE`] and
-    /// the default: seeding changes where the search *starts*, not how
-    /// nodes are strengthened.
-    pub seed_strategy: crate::approx::SeedStrategy,
 }
 
 impl Extensions {
@@ -65,7 +59,6 @@ impl Extensions {
     pub const NONE: Extensions = Extensions {
         matching_lower_bound: false,
         component_branching: None,
-        seed_strategy: crate::approx::SeedStrategy::Greedy,
     };
 }
 

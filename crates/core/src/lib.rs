@@ -51,8 +51,7 @@
 //! * [`approx`] — the ultra-fast approximate tier: round-compressed
 //!   maximal matching through the executor seam and the primal-dual
 //!   weighted cover, both provably within 2× of the optimum and both
-//!   carrying a lower-bound certificate. Selectable as the solve seed
-//!   via [`SolverBuilder::seed`].
+//!   carrying a lower-bound certificate.
 //! * [`greedy`] (the initial bounds, cardinality and weighted),
 //!   [`brute`] (the test oracles, including
 //!   [`brute::weighted_brute_force`]), [`verify`] (solution checking).
@@ -87,7 +86,7 @@ pub mod stackonly;
 mod stats;
 pub mod verify;
 
-pub use approx::{ApproxCover, SeedStrategy};
+pub use approx::ApproxCover;
 pub use connect::{ConnPool, Connectivity};
 pub use engine::{
     Engine, EngineObs, ExitCause, PolicyFactory, SchedulePolicy, SearchMode, SearchOutcome,

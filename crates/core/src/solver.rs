@@ -384,19 +384,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Selects the initial-bound algorithm (default
-    /// [`SeedStrategy::Greedy`](crate::approx::SeedStrategy::Greedy)):
-    /// the reduction-driven greedy seeds, or
-    /// [`SeedStrategy::Approx`](crate::approx::SeedStrategy::Approx) —
-    /// the linear-time 2-approximation
-    /// tier ([`crate::approx`]), whose covers come with a matching /
-    /// primal-dual lower-bound certificate. The seed only moves the
-    /// search's starting upper bound; the optimum is unaffected.
-    pub fn seed(mut self, strategy: crate::approx::SeedStrategy) -> Self {
-        self.ext.seed_strategy = strategy;
-        self
-    }
-
     /// Enables in-search component branching with default
     /// [`SplitParams`]: whenever a tree node's reduction fixpoint
     /// disconnects the residual graph, the node is split into
@@ -783,7 +770,7 @@ impl Solver {
         let mode = match search.pvc_k {
             Some(k) => SearchMode::Pvc { k },
             None if search.weighted => {
-                let mut seed = self.seed_weighted(comp, search.deadline);
+                let mut seed = greedy_weighted_mvc_bounded(comp, search.deadline);
                 slot.greedy_size = seed.1.len() as u32;
                 if let Some(w) = search.warm {
                     let w_weight = comp.cover_weight(w);
@@ -794,7 +781,7 @@ impl Solver {
                 SearchMode::WeightedMvc { initial: seed }
             }
             None => {
-                let mut seed = self.seed_unweighted(comp, search.deadline);
+                let mut seed = greedy_mvc_bounded(comp, search.deadline);
                 slot.greedy_size = seed.0;
                 if let Some(w) = search.warm {
                     if (w.len() as u32) < seed.0 {
@@ -821,51 +808,6 @@ impl Solver {
         slot.launch = launch;
         let track = pool_block.map_or(0, |b| b + 1);
         t_comp.finish(sink, "component", "sub-search", track, idx as u64);
-    }
-
-    /// The launch seed under the configured
-    /// [`SeedStrategy`](crate::approx::SeedStrategy): `(size, cover)`
-    /// in cardinality mode. The approx tier ignores the deadline — it
-    /// is `O(|V| + |E|)` per round with a bounded round count, the
-    /// very property that makes it the massive-instance seed. It still
-    /// runs the greedy sweep and keeps the better of the two covers:
-    /// the certificate caps the result at twice the optimum, and
-    /// taking a minimum only tightens it, so the approx strategy never
-    /// starts from a worse incumbent than greedy would.
-    fn seed_unweighted(&self, g: &CsrGraph, deadline: &Deadline) -> (u32, Vec<u32>) {
-        match self.cfg.ext.seed_strategy {
-            crate::approx::SeedStrategy::Greedy => greedy_mvc_bounded(g, deadline),
-            crate::approx::SeedStrategy::Approx => {
-                let mut counters = parvc_simgpu::counters::BlockCounters::new(u32::MAX);
-                let a = crate::approx::matching_cover_exec(g, &*self.exec, &mut counters);
-                let (gsize, gcover) = greedy_mvc_bounded(g, deadline);
-                if u64::from(gsize) < a.cost {
-                    (gsize, gcover)
-                } else {
-                    (a.cost as u32, a.cover)
-                }
-            }
-        }
-    }
-
-    /// Weighted twin of [`seed_unweighted`](Self::seed_unweighted):
-    /// `(weight, cover)`, with the approx tier running the primal-dual
-    /// pass (again keeping the greedy cover when it happens to be
-    /// lighter — the 2× band is a ceiling, not a target).
-    fn seed_weighted(&self, g: &CsrGraph, deadline: &Deadline) -> (u64, Vec<u32>) {
-        match self.cfg.ext.seed_strategy {
-            crate::approx::SeedStrategy::Greedy => greedy_weighted_mvc_bounded(g, deadline),
-            crate::approx::SeedStrategy::Approx => {
-                let mut counters = parvc_simgpu::counters::BlockCounters::new(u32::MAX);
-                let a = crate::approx::weighted_approx_cover(g, &mut counters);
-                let (gweight, gcover) = greedy_weighted_mvc_bounded(g, deadline);
-                if gweight < a.cost {
-                    (gweight, gcover)
-                } else {
-                    (a.cost, a.cover)
-                }
-            }
-        }
     }
 
     /// The one parameterized dispatch: builds the policy factory for

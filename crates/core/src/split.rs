@@ -144,9 +144,8 @@ pub struct SubInstance {
     /// `old_ids[new_id]` = the vertex's id in the graph the split
     /// happened on.
     pub old_ids: Vec<VertexId>,
-    /// Seed cover of the component (greedy or approx, per
-    /// [`crate::Extensions::seed_strategy`]) — the sub-search's initial
-    /// upper bound and its fallback witness. `(cost, witness)` in the
+    /// The component's greedy cover — the sub-search's initial upper
+    /// bound and its fallback witness. `(cost, witness)` in the
     /// search's units.
     pub greedy: (u64, Vec<VertexId>),
     /// Lower bound on the component's optimum — [`SplitBound`]'s
@@ -341,40 +340,17 @@ pub fn detect_components(
         .filter(|m| m.len() > 1)
         .map(|m| {
             let (graph, _) = ops::induced_subgraph(kernel.graph, &m);
-            let approx_seed = kernel.ext.seed_strategy == crate::approx::SeedStrategy::Approx;
             let (greedy, lower_bound) = if weighted {
-                // The approx strategy keeps whichever of the bounded
-                // cover and the greedy sweep is lighter: the 2×
-                // certificate survives a minimum, and the sibling
-                // budgets it feeds must never loosen vs greedy.
-                let seed = if approx_seed {
-                    let a = crate::approx::weighted_approx_cover(&graph, counters);
-                    let (gw, gc) = greedy_weighted_mvc(&graph);
-                    if gw < a.cost {
-                        (gw, gc)
-                    } else {
-                        (a.cost, a.cover)
-                    }
-                } else {
-                    greedy_weighted_mvc(&graph)
-                };
                 // The unweighted LP certifies nothing about cover
                 // weight; the weight-sound budget under either
                 // `SplitBound` is the better of the min-weight
                 // matching bound and the primal-dual LP dual.
-                (seed, parvc_prep::weighted_lower_bound(&graph))
+                (
+                    greedy_weighted_mvc(&graph),
+                    parvc_prep::weighted_lower_bound(&graph),
+                )
             } else {
-                let (size, cover) = if approx_seed {
-                    let a = crate::approx::matching_cover_exec(&graph, kernel.exec, counters);
-                    let (gs, gc) = greedy_mvc(&graph);
-                    if u64::from(gs) < a.cost {
-                        (gs, gc)
-                    } else {
-                        (a.cost as u32, a.cover)
-                    }
-                } else {
-                    greedy_mvc(&graph)
-                };
+                let (size, cover) = greedy_mvc(&graph);
                 let lb = match params.bound {
                     SplitBound::Lp => parvc_prep::lp_lower_bound_exec(&graph, kernel.exec),
                     SplitBound::Matching => matching::greedy_maximal_matching(&graph).len() as u64,

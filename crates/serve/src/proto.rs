@@ -35,8 +35,9 @@ pub const VERBS: &[VerbHelp] = &[
     },
     VerbHelp {
         name: "SOLVE",
-        usage: "SOLVE <name> [--weighted] [--k <n>] [--deadline <secs>] [--seed <greedy|approx>] [--approx] [--no-cache]",
-        summary: "Solve the named instance exactly (cache-backed), or certificate-only with --approx",
+        usage: "SOLVE <name> [--weighted] [--k <n>] [--deadline <secs>] [--approx] [--no-cache]",
+        summary:
+            "Solve the named instance exactly (cache-backed), or certificate-only with --approx",
     },
     VerbHelp {
         name: "RESOLVE",
@@ -69,7 +70,7 @@ pub fn verb_table_markdown() -> String {
     out
 }
 
-/// Per-request solve options (`SOLVE` and `RESOLVE` flags).
+/// Per-request solve options (`SOLVE` flags).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveFlags {
     /// Minimize total vertex weight instead of cardinality.
@@ -80,9 +81,6 @@ pub struct SolveFlags {
     /// Per-request wall-clock budget, riding
     /// [`Solver::with_deadline`](parvc_core::Solver::with_deadline).
     pub deadline: Option<Duration>,
-    /// Seed the exact search with the bounded 2-approximation instead
-    /// of the greedy cover.
-    pub seed_approx: bool,
     /// Answer with the 2× certificate only — no exact search at all
     /// (the same answer shape overload shedding produces).
     pub approx_only: bool,
@@ -113,8 +111,8 @@ pub enum Request {
         name: String,
         /// Edit spec: inline ops or `gen:<ops>[:<frac>][@seed]`.
         edits: String,
-        /// Request options (only `weighted` applies).
-        flags: SolveFlags,
+        /// Minimize total vertex weight instead of cardinality.
+        weighted: bool,
     },
     /// `STATS`
     Stats,
@@ -159,27 +157,26 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
                 return Err("usage: RESOLVE <name> --edits <spec> [--weighted]".into());
             };
             let mut edits = None;
-            let mut passthrough = Vec::new();
+            let mut weighted = false;
             let mut it = flag_tokens.iter();
             while let Some(&tok) = it.next() {
-                if tok == "--edits" {
-                    edits = Some(
-                        it.next()
-                            .ok_or_else(|| "--edits needs a value".to_string())?
-                            .to_string(),
-                    );
-                } else {
-                    passthrough.push(tok);
+                match tok {
+                    "--edits" => {
+                        let v = it.next().ok_or("--edits needs a value")?;
+                        edits = Some((*v).to_string());
+                    }
+                    "--weighted" => weighted = true,
+                    other => {
+                        return Err(format!(
+                            "RESOLVE does not take '{other}' (only --edits <spec> and --weighted)"
+                        ))
+                    }
                 }
-            }
-            let flags = parse_solve_flags(&passthrough)?;
-            if flags.k.is_some() || flags.approx_only {
-                return Err("RESOLVE supports --weighted only (no --k/--approx)".into());
             }
             Request::Resolve {
                 name: (*name).to_string(),
-                edits: edits.ok_or_else(|| "RESOLVE requires --edits <spec>".to_string())?,
-                flags,
+                edits: edits.ok_or("RESOLVE requires --edits <spec>")?,
+                weighted,
             }
         }
         "STATS" => {
@@ -229,16 +226,6 @@ fn parse_solve_flags(tokens: &[&str]) -> Result<SolveFlags, String> {
                 let limit = Duration::try_from_secs_f64(secs)
                     .map_err(|e| format!("bad --deadline value '{v}': {e}"))?;
                 flags.deadline = Some(limit);
-            }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--seed needs a value".to_string())?;
-                match *v {
-                    "greedy" => flags.seed_approx = false,
-                    "approx" => flags.seed_approx = true,
-                    other => return Err(format!("bad --seed '{other}' (greedy|approx)")),
-                }
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -297,13 +284,13 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_request("SOLVE g1 --weighted --deadline 2.5 --seed approx").unwrap(),
+            parse_request("SOLVE g1 --weighted --deadline 2.5 --no-cache").unwrap(),
             Some(Request::Solve {
                 name: "g1".into(),
                 flags: SolveFlags {
                     weighted: true,
                     deadline: Some(Duration::from_millis(2500)),
-                    seed_approx: true,
+                    no_cache: true,
                     ..Default::default()
                 }
             })
@@ -313,10 +300,7 @@ mod tests {
             Some(Request::Resolve {
                 name: "g1".into(),
                 edits: "gen:8@3".into(),
-                flags: SolveFlags {
-                    weighted: true,
-                    ..Default::default()
-                }
+                weighted: true,
             })
         );
         assert_eq!(parse_request("STATS").unwrap(), Some(Request::Stats));
@@ -356,16 +340,30 @@ mod tests {
                 .unwrap_err()
                 .contains("--deadline"));
         }
-        assert!(parse_request("SOLVE g1 --seed fast")
-            .unwrap_err()
-            .contains("--seed"));
+        for seed in ["--seed approx", "--seed greedy"] {
+            assert_eq!(
+                parse_request(&format!("SOLVE g1 {seed}")).unwrap_err(),
+                "unknown flag '--seed'"
+            );
+        }
         assert!(parse_request("SOLVE g1 --frobnicate")
             .unwrap_err()
             .contains("unknown flag"));
         assert!(parse_request("RESOLVE g1").unwrap_err().contains("--edits"));
-        assert!(parse_request("RESOLVE g1 --edits x --approx")
-            .unwrap_err()
-            .contains("RESOLVE"));
+        for flag in [
+            "--approx",
+            "--deadline 1",
+            "--no-cache",
+            "--k 3",
+            "--seed approx",
+        ] {
+            let err = parse_request(&format!("RESOLVE g1 --edits x {flag}")).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(
+                err.contains("RESOLVE") && err.contains(&format!("'{name}'")),
+                "{err}"
+            );
+        }
         assert!(parse_request("STATS now")
             .unwrap_err()
             .contains("no operands"));

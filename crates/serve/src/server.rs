@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use parvc_core::approx::approx_cover;
 use parvc_core::{
-    Algorithm, ExecutorSpec, MvcResult, PrepConfig, ResolveSession, SeedStrategy, SolveStats,
-    Solver, TelemetryConfig, TelemetrySnapshot,
+    Algorithm, ExecutorSpec, MvcResult, PrepConfig, ResolveSession, SolveStats, Solver,
+    TelemetryConfig, TelemetrySnapshot,
 };
 use parvc_graph::gen::spec;
 use parvc_graph::{io, CsrGraph, EditScript};
@@ -193,8 +193,8 @@ struct RequestCounts {
 /// The in-process `parvc serve` core. See the module docs.
 pub struct Server {
     cfg: ServeConfig,
-    /// Exact-solve variants: indexed by `weighted * 2 + seed_approx`.
-    solvers: [Arc<Solver>; 4],
+    /// Exact solvers: cardinality, then weighted.
+    solvers: [Arc<Solver>; 2],
     registry: Mutex<BTreeMap<String, Arc<Entry>>>,
     cache: Mutex<ResultCache>,
     /// Solver counters merged across every request's telemetry
@@ -219,7 +219,7 @@ impl Server {
     /// Builds a server from `cfg`, loading the persisted cache if one
     /// is configured.
     pub fn new(cfg: ServeConfig) -> Self {
-        let build = |weighted: bool, seed_approx: bool| -> Arc<Solver> {
+        let build = |weighted: bool| -> Arc<Solver> {
             let mut b = Solver::builder()
                 .algorithm(cfg.algorithm)
                 .executor(cfg.executor)
@@ -241,9 +241,6 @@ impl Server {
             if weighted {
                 b = b.weighted();
             }
-            if seed_approx {
-                b = b.seed(SeedStrategy::Approx);
-            }
             Arc::new(b.build())
         };
         let cache = match &cfg.cache_path {
@@ -259,12 +256,7 @@ impl Server {
             })
         });
         Server {
-            solvers: [
-                build(false, false),
-                build(false, true),
-                build(true, false),
-                build(true, true),
-            ],
+            solvers: [build(false), build(true)],
             registry: Mutex::new(BTreeMap::new()),
             cache: Mutex::new(cache),
             counters: Mutex::new(BTreeMap::new()),
@@ -322,10 +314,14 @@ impl Server {
                 self.count("serve.solve");
                 self.do_solve(&name, &flags)
             }
-            Request::Resolve { name, edits, flags } => {
+            Request::Resolve {
+                name,
+                edits,
+                weighted,
+            } => {
                 self.reqs.resolve.fetch_add(1, Ordering::Relaxed);
                 self.count("serve.resolve");
-                self.do_resolve(&name, &edits, &flags)
+                self.do_resolve(&name, &edits, weighted)
             }
             Request::Stats => {
                 self.reqs.stats.fetch_add(1, Ordering::Relaxed);
@@ -375,8 +371,8 @@ impl Server {
         }
     }
 
-    fn solver(&self, weighted: bool, seed_approx: bool) -> &Arc<Solver> {
-        &self.solvers[usize::from(weighted) * 2 + usize::from(seed_approx)]
+    fn solver(&self, weighted: bool) -> &Arc<Solver> {
+        &self.solvers[usize::from(weighted)]
     }
 
     fn instance(&self, name: &str) -> Result<Arc<Entry>, String> {
@@ -474,14 +470,7 @@ impl Server {
             return Ok(self.certificate_answer(g, flags.weighted, false));
         }
 
-        let key = CacheKey {
-            hash: inst.hash,
-            objective: if flags.weighted {
-                Objective::Weighted
-            } else {
-                Objective::Cardinality
-            },
-        };
+        let key = cache_key(inst.hash, flags.weighted);
         if !flags.no_cache {
             if let Some(hit) = self.cache.lock().unwrap().lookup(key) {
                 self.count("serve.cache_hit");
@@ -507,23 +496,19 @@ impl Server {
             return Ok(self.certificate_answer(g, flags.weighted, true));
         }
 
-        let base = self.solver(flags.weighted, flags.seed_approx);
+        let base = self.solver(flags.weighted);
         let r = match flags.deadline {
             Some(limit) => base.with_deadline(Some(limit)).solve_mvc(g),
             None => base.solve_mvc(g),
         };
         self.merge_solve_telemetry(&r.stats);
-        let exact = !r.stats.timed_out;
-        if exact && !flags.no_cache {
+        let cost = cost(&r, flags.weighted);
+        if !r.stats.timed_out && !flags.no_cache {
             self.cache.lock().unwrap().insert(
                 key,
                 CacheEntry {
                     cover: r.cover.clone(),
-                    cost: if flags.weighted {
-                        r.weight
-                    } else {
-                        u64::from(r.size)
-                    },
+                    cost,
                     tree_nodes: r.stats.tree_nodes,
                 },
             );
@@ -531,14 +516,7 @@ impl Server {
         Ok(vec![
             ("cached", Value::Bool(false)),
             ("size", Value::Num(u64::from(r.size))),
-            (
-                "cost",
-                Value::Num(if flags.weighted {
-                    r.weight
-                } else {
-                    u64::from(r.size)
-                }),
-            ),
+            ("cost", Value::Num(cost)),
             ("tree_nodes", Value::Num(r.stats.tree_nodes)),
             ("timed_out", Value::Bool(r.stats.timed_out)),
             ("cover", cover_value(&r.cover)),
@@ -553,7 +531,7 @@ impl Server {
     ) -> Result<Vec<(&'static str, Value)>, String> {
         // PVC answers depend on k, so they bypass the cache; they are
         // also never shed (the certificate only answers some ks).
-        let base = self.solver(false, flags.seed_approx);
+        let base = self.solver(false);
         let r = match flags.deadline {
             Some(limit) => base.with_deadline(Some(limit)).solve_pvc(g, k),
             None => base.solve_pvc(g, k),
@@ -600,12 +578,12 @@ impl Server {
         &self,
         name: &str,
         edits: &str,
-        flags: &SolveFlags,
+        weighted: bool,
     ) -> Result<Vec<(&'static str, Value)>, String> {
         let entry = self.instance(name)?;
         let mut inst = entry.state.lock().unwrap();
         if let Some(session) = &inst.session {
-            if session.weighted != flags.weighted {
+            if session.weighted != weighted {
                 let have = if session.weighted {
                     "weighted"
                 } else {
@@ -621,14 +599,7 @@ impl Server {
             // graph: from cache when the content is known (counted as
             // a hit), otherwise by solving once (counted as a miss and
             // cached like any other solve).
-            let key = CacheKey {
-                hash: inst.hash,
-                objective: if flags.weighted {
-                    Objective::Weighted
-                } else {
-                    Objective::Cardinality
-                },
-            };
+            let key = cache_key(inst.hash, weighted);
             let cached = self.cache.lock().unwrap().lookup(key);
             let baseline = match cached {
                 Some(hit) => {
@@ -637,8 +608,7 @@ impl Server {
                 }
                 None => {
                     self.count("serve.cache_miss");
-                    let solver = self.solver(flags.weighted, false);
-                    let r = solver.solve_mvc(&inst.graph);
+                    let r = self.solver(weighted).solve_mvc(&inst.graph);
                     self.merge_solve_telemetry(&r.stats);
                     if r.stats.timed_out {
                         return Err(format!(
@@ -649,24 +619,15 @@ impl Server {
                         key,
                         CacheEntry {
                             cover: r.cover.clone(),
-                            cost: if flags.weighted {
-                                r.weight
-                            } else {
-                                u64::from(r.size)
-                            },
+                            cost: cost(&r, weighted),
                             tree_nodes: r.stats.tree_nodes,
                         },
                     );
                     r
                 }
             };
-            let solver = Arc::clone(self.solver(flags.weighted, false));
-            inst.session = Some(OwnedSession::new(
-                solver,
-                flags.weighted,
-                &inst.graph,
-                &baseline,
-            ));
+            let solver = Arc::clone(self.solver(weighted));
+            inst.session = Some(OwnedSession::new(solver, weighted, &inst.graph, &baseline));
             entry.publish(&inst);
         }
 
@@ -680,11 +641,7 @@ impl Server {
         self.merge_solve_telemetry(&resolved.result.stats);
 
         let r = &resolved.result;
-        let cost = if flags.weighted {
-            r.weight
-        } else {
-            u64::from(r.size)
-        };
+        let cost = cost(r, weighted);
         // The session's graph advanced; keep the registry copy (and
         // the cache) in step so a follow-up SOLVE hits.
         inst.graph = resolved.graph;
@@ -692,14 +649,7 @@ impl Server {
         entry.publish(&inst);
         if !r.stats.timed_out {
             self.cache.lock().unwrap().insert(
-                CacheKey {
-                    hash: inst.hash,
-                    objective: if flags.weighted {
-                        Objective::Weighted
-                    } else {
-                        Objective::Cardinality
-                    },
-                },
+                cache_key(inst.hash, weighted),
                 CacheEntry {
                     cover: r.cover.clone(),
                     cost,
@@ -819,6 +769,26 @@ impl Server {
             ]),
             None => Err(format!("unknown instance '{name}'")),
         }
+    }
+}
+
+/// The cache key of content `hash` under the request's objective.
+fn cache_key(hash: u64, weighted: bool) -> CacheKey {
+    let objective = if weighted {
+        Objective::Weighted
+    } else {
+        Objective::Cardinality
+    };
+    CacheKey { hash, objective }
+}
+
+/// An exact result's cost under the request's objective: its weight
+/// when weighted, its size otherwise.
+fn cost(r: &MvcResult, weighted: bool) -> u64 {
+    if weighted {
+        r.weight
+    } else {
+        u64::from(r.size)
     }
 }
 

@@ -23,18 +23,30 @@ use crate::server::Server;
 /// (1 MiB).
 pub const MAX_LINE_BYTES: u64 = 1 << 20;
 
+/// The most workers [`serve_listener`] starts. The pool spawns every
+/// worker thread up front, so a mistyped count must not reach it.
+pub const MAX_WORKERS: u32 = 1024;
+
 /// Serves `server` on `listener` until `stop` becomes true, handling
 /// at most `workers` connections at a time. Returns the number of
 /// connections served. The listener should usually be non-blocking or
 /// the caller should arrange a final wake-up connection after setting
-/// `stop` — `accept` itself is not interrupted.
+/// `stop` — `accept` itself is not interrupted. A `workers` outside
+/// `1..=`[`MAX_WORKERS`] is an `InvalidInput` error, returned before
+/// any thread starts.
 pub fn serve_listener(
     server: &Server,
     listener: &TcpListener,
     workers: u32,
     stop: &AtomicBool,
 ) -> std::io::Result<u64> {
-    let mut pool = scoped_threadpool::Pool::new(workers.max(1));
+    if !(1..=MAX_WORKERS).contains(&workers) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("workers must be from 1 to {MAX_WORKERS}, got {workers}"),
+        ));
+    }
+    let mut pool = scoped_threadpool::Pool::new(workers);
     let mut served = 0u64;
     pool.scoped(|scope| {
         for conn in listener.incoming() {
@@ -101,4 +113,23 @@ pub fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServeConfig;
+
+    /// Zero workers is refused before a pool exists. `stop` is already
+    /// set and the listener does not block, so even a missing check
+    /// returns at once instead of serving.
+    #[test]
+    fn zero_workers_is_invalid_input() {
+        let server = Server::new(ServeConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let stop = AtomicBool::new(true);
+        let err = serve_listener(&server, &listener, 0, &stop).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
 }

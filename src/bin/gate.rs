@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | `components` | every policy on a component-structured corpus; split counters | `bench/baselines/components.json` |
 //! | `resolve` | a seeded edit batch re-solved incrementally, checked against a from-scratch solve | `bench/baselines/resolve.json` |
-//! | `approx` | weighted solves seeded by greedy and by the bounded 2-approximation | `bench/baselines/approx.json` |
+//! | `approx` | weighted solves, each optimum bracketed by the 2-approximation's certificate | `bench/baselines/approx.json` |
 //! | `serve` | a pinned request script against an in-process server, then forced overload | `bench/baselines/serve.json` |
 //! | `multiblock` | every policy at grid 2 and 8, MVC / weighted MVC / PVC at opt−1 | none |
 //!
@@ -34,13 +34,15 @@
 
 use std::process::ExitCode;
 
+use parvc::core::approx::{weighted_approx_cover, ApproxCover};
 use parvc::core::{
-    is_vertex_cover, Algorithm, ExecutorSpec, SeedStrategy, Solver, SolverBuilder, SplitParams,
-    TelemetryConfig, TelemetrySnapshot,
+    is_vertex_cover, Algorithm, ExecutorSpec, Solver, SolverBuilder, SplitParams, TelemetryConfig,
+    TelemetrySnapshot,
 };
 use parvc::graph::gen::{self, spec};
 use parvc::graph::{CsrGraph, EditScript};
 use parvc::serve::{ServeConfig, Server};
+use parvc::simgpu::counters::BlockCounters;
 use parvc_bench::json::{obj, parse, Value};
 
 /// One gate suite: what it runs, the report it writes, and how the
@@ -87,7 +89,7 @@ const SUITES: &[Suite] = &[
         bench: "approx-smoke",
         flags: &["json", "baseline", "exec"],
         exact: &["weight"],
-        monotone: &["greedy_tree_nodes", "approx_tree_nodes"],
+        monotone: &["greedy_tree_nodes"],
         run: approx,
     },
     Suite {
@@ -512,54 +514,42 @@ fn resolve(opts: &Opts) -> Vec<(&'static str, Value)> {
 
 // ---- approx --------------------------------------------------------
 
-/// Each cell solves twice, seeded by the greedy heuristics and by the
-/// bounded 2-approximation tier. The optima must agree, and the
-/// approx seed must never visit more tree nodes than greedy and must
-/// strictly win somewhere: the bound paying for itself.
+/// Each cell solves once from the greedy seed. The approximate tier's
+/// certificate must bracket every optimum:
+/// `lower_bound ≤ weight ≤ cost ≤ 2·lower_bound`, with a valid cover.
 fn approx(opts: &Opts) -> Vec<(&'static str, Value)> {
-    let mut strict_wins = 0u32;
-    let instances = matrix(
-        "approx",
-        approx_corpus(),
-        "weight",
-        |label, g, algorithm| {
-            let solve = |seed| {
-                builder(algorithm, 1, opts.exec)
-                    .weighted()
-                    .seed(seed)
-                    .build()
-                    .solve_mvc(g)
-            };
-            let (greedy, approx) = (solve(SeedStrategy::Greedy), solve(SeedStrategy::Approx));
+    let corpus: Vec<(&'static str, (CsrGraph, ApproxCover))> = approx_corpus()
+        .into_iter()
+        .map(|(name, g)| {
+            let a = weighted_approx_cover(&g, &mut BlockCounters::new(0));
             assert!(
-                is_vertex_cover(g, &approx.cover),
-                "{label}: approx-seeded solve returned a non-cover"
+                is_vertex_cover(&g, &a.cover),
+                "{name}: the approx tier returned a non-cover"
             );
-            assert_eq!(
-                greedy.weight, approx.weight,
-                "{label}: seeds disagree on the optimum weight"
-            );
-            let (gn, an) = (greedy.stats.tree_nodes, approx.stats.tree_nodes);
-            assert!(
-                an <= gn,
-                "{label}: approx seed visited more tree nodes ({an}) than the greedy seed ({gn})"
-            );
-            strict_wins += u32::from(an < gn);
-            (
-                approx.weight,
-                vec![
-                    ("greedy_tree_nodes", Value::Num(gn)),
-                    ("approx_tree_nodes", Value::Num(an)),
-                ],
-            )
-        },
-    );
-    assert!(
-        strict_wins > 0,
-        "the approx seed never strictly beat the greedy seed: \
-         the bounded tier is not pulling its weight on this corpus"
-    );
-    eprintln!("[gate approx] approx seed strictly improved {strict_wins} cell(s)");
+            (name, (g, a))
+        })
+        .collect();
+    let instances = matrix("approx", corpus, "weight", |label, (g, a), algorithm| {
+        let r = builder(algorithm, 1, opts.exec)
+            .weighted()
+            .build()
+            .solve_mvc(g);
+        assert!(
+            is_vertex_cover(g, &r.cover),
+            "{label}: solve returned a non-cover"
+        );
+        assert!(
+            a.lower_bound <= r.weight && r.weight <= a.cost && a.cost <= 2 * a.lower_bound,
+            "{label}: the certificate [{}, {}] does not bracket the optimum {}",
+            a.lower_bound,
+            a.cost,
+            r.weight
+        );
+        (
+            r.weight,
+            vec![("greedy_tree_nodes", Value::Num(r.stats.tree_nodes))],
+        )
+    });
     vec![("instances", instances)]
 }
 
@@ -896,7 +886,7 @@ mod tests {
         (
             "approx",
             "approx.json",
-            Some((&["gnp_deg", "seq"], "approx_tree_nodes")),
+            Some((&["gnp_deg", "seq"], "greedy_tree_nodes")),
             &[(&["grid_uni"], "weight")],
         ),
         (

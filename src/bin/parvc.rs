@@ -9,8 +9,7 @@
 //!               [--k <k>] [--deadline <s>]
 //!               [--component-branching[=<min-live>]]
 //!               [--prep] [--prep-rules d012,crown,highdeg,split]
-//!               [--weighted] [--seed greedy|approx]
-//!               [--format dimacs|edgelist] <instance>
+//!               [--weighted] [--format dimacs|edgelist] <instance>
 //! parvc resolve --edits <script-file|gen:<ops>[:<frac>][@seed]>
 //!               [--policy ...] [--threads <n>] [--exec ...]
 //!               [--deadline <s>] [--prep] [--weighted]
@@ -140,15 +139,6 @@ const COMMANDS: &[CmdHelp] = &[
                        or a spec's :w= suffix; unweighted inputs count every vertex \
                        as weight 1). Works under every policy; prep runs only \
                        weight-sound rules.",
-            },
-            FlagHelp {
-                flag: "--seed <greedy|approx>",
-                desc: "Initial incumbent: the reduction-driven greedy sweep \
-                       (default) or the provably 2x-bounded approximate tier — \
-                       round-compressed maximal matching, or the primal-dual \
-                       cover under --weighted — which keeps whichever of the \
-                       bounded and greedy covers is better, so it never starts \
-                       the search from a worse bound.",
             },
             FlagHelp {
                 flag: "--deadline <secs>",
@@ -327,7 +317,7 @@ const COMMANDS: &[CmdHelp] = &[
             FlagHelp {
                 flag: "--workers <n>",
                 desc: "Connections serviced concurrently — the worker-pool \
-                       bound (default 4).",
+                       bound, 1 to 1024 (default 4).",
             },
             FlagHelp {
                 flag: "--high-water <n>",
@@ -758,7 +748,6 @@ fn cmd_solve(args: &[String]) {
             "threads",
             "exec",
             "prep-rules",
-            "seed",
             "trace-out",
             "metrics-out",
         ],
@@ -766,9 +755,6 @@ fn cmd_solve(args: &[String]) {
         &["prep", "weighted"],
     );
     let mut builder = solver_builder_or_exit(&flags);
-    if let Some(strategy) = parsed_or_exit(&flags, "seed", parvc::core::SeedStrategy::parse) {
-        builder = builder.seed(strategy);
-    }
     // `--component-branching` (default trigger) or
     // `--component-branching=<min-live>`.
     if let Some(min_live) =
@@ -1120,8 +1106,10 @@ fn cmd_serve(args: &[String]) {
         telemetry: false,
     };
     // Parsed before the mode is picked, so script mode refuses it too.
-    let workers: u32 = option_or_exit(&flags, "workers", "a non-negative integer", |v| {
-        v.parse().ok()
+    let max = parvc::serve::tcp::MAX_WORKERS;
+    let takes = format!("an integer from 1 to {max}");
+    let workers: u32 = option_or_exit(&flags, "workers", &takes, |v| {
+        v.parse().ok().filter(|n| (1..=max).contains(n))
     })
     .unwrap_or(4);
     let server = parvc::serve::Server::new(cfg);
@@ -1270,7 +1258,12 @@ fn cmd_generate(args: &[String]) {
             );
         }
         None => {
-            io::write_dimacs(&g, "edge", std::io::stdout().lock()).expect("write failed");
+            use std::io::Write;
+            let mut out = std::io::stdout().lock();
+            if let Err(e) = out.write_all(&dimacs_text(&g)).and_then(|()| out.flush()) {
+                eprintln!("cannot write to stdout: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }

@@ -9,12 +9,12 @@
 //!   bit-matches a serial run — cover, rounds, and the
 //!   `Activity::ApproxMatching` cycle charge — on instances big enough
 //!   (≥ 4096 vertices) that the pooled executor really chunks;
-//! * solving with `--seed approx` reaches the same optimum as the
-//!   greedy seed under every policy.
+//! * the greedy seeds at launch and in every split component keep the
+//!   brute-force optimum under every policy.
 
 use parvc::core::approx::{approx_cover, matching_cover_exec, weighted_approx_cover};
 use parvc::core::brute::{brute_force_mvc, weighted_brute_force};
-use parvc::core::{is_vertex_cover, Algorithm, ExecutorSpec, SeedStrategy, Solver};
+use parvc::core::{is_vertex_cover, Algorithm, ExecutorSpec, Solver};
 use parvc::graph::{gen, matching, CsrGraph};
 use parvc::simgpu::counters::{Activity, BlockCounters};
 use parvc::simgpu::exec::SERIAL;
@@ -140,11 +140,11 @@ fn round_counters_are_executor_invariant_at_scale() {
     }
 }
 
-/// `--seed approx` changes the starting bound, never the optimum:
-/// every policy, both modes, with component branching exercising the
-/// split-path seeds too.
+/// The seeds set the starting bound, never the optimum: every policy,
+/// both modes, with component branching exercising the split-path
+/// seeds too.
 #[test]
-fn approx_seed_preserves_the_optimum_under_every_policy() {
+fn greedy_seeds_preserve_the_optimum_under_every_policy() {
     let policies = [
         ("sequential", Algorithm::Sequential),
         ("stackonly", Algorithm::StackOnly { start_depth: 4 }),
@@ -152,12 +152,11 @@ fn approx_seed_preserves_the_optimum_under_every_policy() {
         ("worksteal", Algorithm::WorkStealing),
         ("compsteal", Algorithm::ComponentSteal),
     ];
-    let solver = |alg: Algorithm, seed: SeedStrategy, weighted: bool| {
+    let solver = |alg: Algorithm, weighted: bool| {
         let mut b = Solver::builder()
             .algorithm(alg)
             .grid_limit(Some(2))
-            .component_branching(true)
-            .seed(seed);
+            .component_branching(true);
         if weighted {
             b = b.weighted();
         }
@@ -167,14 +166,11 @@ fn approx_seed_preserves_the_optimum_under_every_policy() {
         let (opt, _) = weighted_brute_force(&g);
         let (card_opt, _) = brute_force_mvc(&g);
         for (policy, alg) in policies {
-            let w = solver(alg, SeedStrategy::Approx, true).solve_mvc(&g);
+            let w = solver(alg, true).solve_mvc(&g);
             assert_eq!(w.weight, opt, "{name}/{policy}: weighted optimum");
             assert!(is_vertex_cover(&g, &w.cover), "{name}/{policy}");
-            let u = solver(alg, SeedStrategy::Approx, false).solve_mvc(&g);
-            assert_eq!(
-                u.size, card_opt,
-                "{name}/{policy}: cardinality optimum under the approx seed"
-            );
+            let u = solver(alg, false).solve_mvc(&g);
+            assert_eq!(u.size, card_opt, "{name}/{policy}: cardinality optimum");
         }
     }
 }

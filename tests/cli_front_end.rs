@@ -34,7 +34,12 @@ fn parvc(args: &[&str], stdin: Option<&str>) -> Output {
 
 /// Asserts that `parvc args` exits with `code` and says why on stderr.
 fn assert_exit(args: &[&str], code: i32) {
-    let out = parvc(args, None);
+    assert_exited(args, &parvc(args, None), code);
+}
+
+/// Asserts that the run `out` of `parvc args` exited with `code` and
+/// said why on stderr.
+fn assert_exited(args: &[&str], out: &Output, code: i32) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(code), "parvc {args:?}: {stderr}");
     assert!(!stderr.trim().is_empty(), "parvc {args:?} gave no reason");
@@ -66,11 +71,14 @@ fn malformed_specs_and_flags_exit_2() {
     assert_exit(&["analyze", "--format", "bogus", "gnp:10:0.5"], 2);
     assert_exit(&["generate", "gnp", "30", "2"], 2);
     assert_exit(&["resolve", "--edits", "gen:x", "gnp:10:0.5"], 2);
+    assert_exit(&["solve", "--seed", "approx", "gnp:10:0.5"], 2);
 
     let empty = temp_path("empty-script");
     std::fs::write(&empty, "").expect("write the empty script");
     let script = empty.to_str().expect("utf-8 temp path");
-    assert_exit(&["serve", "--workers", "x", "--script", script], 2);
+    for workers in ["x", "0", "1025", "4000000000"] {
+        assert_exit(&["serve", "--workers", workers, "--script", script], 2);
+    }
     assert_exit(&["serve", "--exec", "bogus", "--script", script], 2);
     std::fs::remove_file(&empty).expect("remove the empty script");
 }
@@ -85,6 +93,21 @@ fn unreadable_inputs_and_unwritable_outputs_exit_1() {
     assert_exit(&["generate", "gnp", "10", "0.5", "--out", unwritable], 1);
     assert_exit(&["prep", "gnp:10:0.5", "--out", unwritable], 1);
     assert_exit(&["solve", "gnp:10:0.5", "--metrics-out", unwritable], 1);
+
+    if cfg!(target_os = "linux") {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let args = ["generate", "gnp", "10", "0.5"];
+        let out = Command::new(env!("CARGO_BIN_EXE_parvc"))
+            .args(args)
+            .stdout(full)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run parvc");
+        assert_exited(&args, &out, 1);
+    }
 }
 
 /// A scripted session keeps answering after a refused `LOAD`: one

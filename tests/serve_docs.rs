@@ -43,7 +43,7 @@ fn doc_examples_parse_as_requests() {
         "SOLVE a",
         "SOLVE a --weighted",
         "SOLVE a --k 230",
-        "SOLVE a --deadline 2.5 --seed approx --no-cache",
+        "SOLVE a --deadline 2.5 --no-cache",
         "SOLVE a --approx",
         "RESOLVE a --edits gen:12:0.5@7",
         "RESOLVE a --edits +e:0:5;-v:3 --weighted",
