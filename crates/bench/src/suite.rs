@@ -2,8 +2,8 @@
 //!
 //! The paper's graphs (DIMACS p_hat complements, KONECT, SNAP, PACE
 //! 2019) are replaced by generated stand-ins that preserve the family
-//! trait driving search-tree behaviour: density class and degree spread
-//! (see DESIGN.md §4). `Scale::Small` shrinks |V| so the whole suite
+//! trait driving search-tree behaviour: density class and degree
+//! spread. `Scale::Small` shrinks |V| so the whole suite
 //! runs in minutes on a laptop-class host; `Scale::Paper` uses the
 //! paper's instance sizes (expect hours, as the paper's Table I did).
 
@@ -102,7 +102,7 @@ pub fn suite(scale: Scale) -> Vec<Instance> {
         Scale::Small => {
             // Parameters and seeds below were tuned with `--bin tune`
             // so each row lands in its paper counterpart's hardness
-            // band under the default 5 s budget (see EXPERIMENTS.md).
+            // band under the default 5 s budget.
             out.push(Instance::new(
                 "movielens_like",
                 "movielens-100k_rating (KONECT)",

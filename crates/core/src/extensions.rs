@@ -17,12 +17,14 @@
 //!   primal-dual pass builds. By weak duality every completion pays at
 //!   least the packing's value, which is never below the matching's.
 //!
-//! The greedy matching costs a scan of the residual, so it is skipped
-//! at nodes where it cannot fire: a matching has at most
-//! `min(|E'|, ⌊(|V| − |S|) / 2⌋)` edges, and when `|S|` plus that many
-//! still misses the bound, the scan would not prune either. A scan that
-//! runs stops as soon as it reaches the pruning threshold, since its
-//! sum only grows. Neither shortcut changes an answer, tree or counter.
+//! Each bound costs a scan of the residual, so it is skipped at nodes
+//! where it cannot fire: a matching has at most
+//! `min(|E'|, ⌊(|V| − |S|) / 2⌋)` edges, and a packing is worth at most
+//! half the weight of the live vertices that still have an edge; when
+//! the cover plus that much still misses the bound, the scan would not
+//! prune either. A scan that runs stops as soon as it reaches the
+//! pruning threshold, since its sum only grows. No shortcut changes an
+//! answer, tree or counter.
 //!
 //! The bounds are not charged to the Figure 6 activity accounting —
 //! they are deliberately outside the paper's instrumentation so the
@@ -92,10 +94,15 @@ impl<'a> Kernel<'a> {
         let need = match bound {
             SearchBound::Mvc { best } => u64::from(best - node.cover_size()),
             SearchBound::Pvc { k } => u64::from(k - node.cover_size()) + 1,
-            // Weight units. A cardinality cap does not bound a weight
-            // sum, so weighted mode always scans.
+            // Weight units. Each edge's dual counts at both endpoints,
+            // and each endpoint caps it at its weight, so a packing is
+            // worth at most half the weight of the live vertices that
+            // still have an edge. Above that, the scan cannot fire.
             SearchBound::WeightedMvc { best } => {
                 let need = best - node.cover_weight();
+                if need > self.edge_weight(node) / 2 {
+                    return false;
+                }
                 return self.residual_packing_bound(node, scratch, need) >= need;
             }
         };
@@ -141,31 +148,88 @@ impl<'a> Kernel<'a> {
     /// the Bar-Yehuda–Even step of
     /// [`parvc_graph::matching::primal_dual_cover`]. Both passes stop
     /// once the sum reaches `stop_at`; `u64::MAX` gives the full value.
+    ///
+    /// With [`AdjacencyRows`](parvc_graph::AdjacencyRows) the second
+    /// pass visits only the slack vertices, live ones with capacity
+    /// left, and walks `row(u) & slack` above each. A raise drains at
+    /// least one endpoint, which then leaves `slack`; a pair it skips
+    /// would have raised by zero, so every sum it reaches is the one
+    /// the walk over every live edge reaches.
     pub fn residual_packing_bound(
         &self,
         node: &TreeNode,
         scratch: &mut BlockScratch,
         stop_at: u64,
     ) -> u64 {
-        let (free, res) = scratch.packing_for(node, self.graph.weights());
+        let (free, res, slack) = scratch.packing_for(node, self.graph.weights());
         let mut packed = 0u64;
-        if self.greedy_matching(node, free, |u, v| raise(res, &mut packed, u, v) >= stop_at) {
+        let stopped = self.greedy_matching(node, free, |u, v| {
+            raise(res, &mut packed, u, v);
+            drain(res, slack, u);
+            drain(res, slack, v);
+            packed >= stop_at
+        });
+        if stopped {
             return packed;
         }
-        for u in 0..node.len() {
-            if node.degree(u) <= 0 {
-                continue;
+        let Some(rows) = self.graph.adjacency_rows() else {
+            for u in 0..node.len() {
+                if node.degree(u) <= 0 {
+                    continue;
+                }
+                for v in node.live_neighbors_above(self.graph, u) {
+                    if res[u as usize] == 0 {
+                        break;
+                    }
+                    if raise(res, &mut packed, u, v) >= stop_at {
+                        return packed;
+                    }
+                }
             }
-            for v in node.live_neighbors_above(self.graph, u) {
-                if res[u as usize] == 0 {
-                    break;
+            return packed;
+        };
+        for i in 0..slack.len() {
+            let mut us = slack[i];
+            while us != 0 {
+                let u = (i * 64) as u32 + us.trailing_zeros();
+                us &= us - 1;
+                let row = rows.row(u);
+                let mut j = i;
+                let mut vs = row[i] & slack[i] & (u64::MAX << (u % 64) << 1);
+                'walk: loop {
+                    while vs != 0 {
+                        let v = (j * 64) as u32 + vs.trailing_zeros();
+                        vs &= vs - 1;
+                        if raise(res, &mut packed, u, v) >= stop_at {
+                            return packed;
+                        }
+                        drain(res, slack, v);
+                        if res[u as usize] == 0 {
+                            drain(res, slack, u);
+                            break 'walk;
+                        }
+                    }
+                    j += 1;
+                    match row.get(j) {
+                        Some(&r) => vs = r & slack[j],
+                        None => break,
+                    }
                 }
-                if raise(res, &mut packed, u, v) >= stop_at {
-                    return packed;
-                }
+                us &= slack[i];
             }
         }
         packed
+    }
+
+    /// Total weight of the live vertices with a live edge: twice an
+    /// upper bound on any edge packing of the residual. A fold over the
+    /// degree array and the weights.
+    fn edge_weight(&self, node: &TreeNode) -> u64 {
+        let degrees = node.degrees().iter();
+        match self.graph.weights() {
+            Some(w) => degrees.zip(w).map(|(&d, &w)| u64::from(d > 0) * w).sum(),
+            None => degrees.map(|&d| u64::from(d > 0)).sum(),
+        }
     }
 
     /// The greedy maximal matching both bounds start from: each live,
@@ -235,6 +299,11 @@ fn raise(res: &mut [u64], packed: &mut u64, u: u32, v: u32) -> u64 {
     res[v as usize] -= y;
     *packed += y;
     *packed
+}
+
+/// Clears `u`'s bit in `slack` once its residual capacity is drained.
+fn drain(res: &[u64], slack: &mut [u64], u: u32) {
+    slack[u as usize / 64] &= !(u64::from(res[u as usize] == 0) << (u % 64));
 }
 
 #[cfg(test)]
@@ -308,7 +377,8 @@ mod tests {
     /// threshold; on random weighted graphs and random partial covers,
     /// for every MVC `best` and PVC `k` up to `|V| + 1` and every
     /// weighted `best` up to the total weight + 1, its verdict must
-    /// equal the full computation. The full packing must lie between
+    /// equal the full computation. The weighted half-weight skip must
+    /// both fire and not fire. The full packing must lie between
     /// the greedy matching's weighted bound on the residual and the
     /// residual's optimum.
     #[test]
@@ -324,6 +394,7 @@ mod tests {
         };
         let mut verdicts = [0u32; 2];
         let mut weighted_verdicts = [0u32; 2];
+        let mut half_weight_skips = [0u32; 2];
         let mut packing_gains = 0;
         for seed in 0..60u64 {
             let n = 2 + (seed % 23) as u32;
@@ -359,6 +430,9 @@ mod tests {
                     assert_eq!(k.prune(&node, wmvc, &mut scratch), want, "{wmvc:?}");
                     if !wmvc.prune(&node) {
                         weighted_verdicts[usize::from(want)] += 1;
+                        let need = t - node.cover_weight();
+                        let skipped = need > k.edge_weight(&node) / 2;
+                        half_weight_skips[usize::from(skipped)] += 1;
                     }
                 }
                 let residual = residual_graph(&g, &node);
@@ -376,6 +450,10 @@ mod tests {
         assert!(
             weighted_verdicts.iter().all(|&n| n > 0),
             "{weighted_verdicts:?}"
+        );
+        assert!(
+            half_weight_skips.iter().all(|&n| n > 0),
+            "scanned / skipped: {half_weight_skips:?}"
         );
         assert!(packing_gains > 0, "the packing never beat the matching");
     }
@@ -428,7 +506,8 @@ mod tests {
     /// On both sides of the row threshold and on random partial
     /// covers, the matching and packing scans return the naive CSR
     /// walks' values, in full and when stopped at every threshold up
-    /// to one past the full value.
+    /// to one past the full value. On the graphs with rows the raise
+    /// pass is the walk over slack vertices.
     #[test]
     fn bound_scans_match_csr_walks_on_both_sides_of_the_threshold() {
         let cost = CostModel::default();

@@ -18,7 +18,7 @@
 //! [`AdjacencyRows`](parvc_graph::AdjacencyRows), a row masked with it
 //! gives a vertex's live neighbors without touching the removed ones.
 
-use parvc_graph::{CsrGraph, VertexId};
+use parvc_graph::{AdjacencyRows, CsrGraph, VertexId};
 
 /// Sentinel degree marking a vertex removed from the graph and added to
 /// the cover.
@@ -181,6 +181,130 @@ impl TreeNode {
             }
         }
         d as u32
+    }
+
+    /// Removes every live neighbor of `v` into the cover and returns
+    /// `Σ (d + 1)` over them, `d` each one's degree at its removal
+    /// when they go one at a time in ascending order (Figure 4 lines
+    /// 21–22). The sum is the number of edges removed plus the number
+    /// of vertices.
+    ///
+    /// Without [`AdjacencyRows`](parvc_graph::AdjacencyRows) each
+    /// neighbor goes through [`remove_into_cover`](Self::remove_into_cover).
+    /// With rows, two passes leave the same node, and each call takes
+    /// the one with the smaller count:
+    /// [`remove_neighbors_in_turn`](Self::remove_neighbors_in_turn)
+    /// decrements about `Σ d` slots over the removed vertices, and
+    /// [`remove_neighbors_as_a_set`](Self::remove_neighbors_as_a_set)
+    /// takes one popcount per mask word for each other live vertex.
+    pub fn remove_neighbors(&mut self, g: &CsrGraph, v: VertexId) -> u64 {
+        let Some(rows) = g.adjacency_rows() else {
+            let mut updates = 0;
+            for &u in g.neighbors(v) {
+                if !self.is_removed(u) {
+                    updates += u64::from(self.remove_into_cover(g, u)) + 1;
+                }
+            }
+            return updates;
+        };
+        if self.set_pass_is_cheaper(rows.row(v)) {
+            self.remove_neighbors_as_a_set(g, rows, v)
+        } else {
+            self.remove_neighbors_in_turn(g, rows.row(v))
+        }
+    }
+
+    /// Whether removing the live vertices of `row` as a set takes fewer
+    /// popcounts than removing them in turn takes decrements: one per
+    /// mask word for each live vertex outside the row, against the
+    /// summed degrees of those inside it.
+    pub(crate) fn set_pass_is_cheaper(&self, row: &[u64]) -> bool {
+        let degrees = self.degrees();
+        let (mut inside, mut walk) = (0u32, 0u64);
+        for (i, (&r, live)) in row.iter().zip(self.live_words()).enumerate() {
+            let mut bits = r & live;
+            inside += bits.count_ones();
+            while bits != 0 {
+                walk += degrees[i * 64 + bits.trailing_zeros() as usize] as u64;
+                bits &= bits - 1;
+            }
+        }
+        let outside = u64::from(self.len - self.cover_size - inside);
+        outside * (row.len() as u64) < walk
+    }
+
+    /// [`remove_neighbors`](Self::remove_neighbors) one neighbor at a
+    /// time, in ascending order; `row` is `v`'s adjacency row. Removing
+    /// a neighbor clears only its own live bit, so a mask word read
+    /// before its first removal still lists the rest.
+    pub(crate) fn remove_neighbors_in_turn(&mut self, g: &CsrGraph, row: &[u64]) -> u64 {
+        let mut updates = 0;
+        for (i, &r) in row.iter().enumerate() {
+            let mut bits = r & self.live_word(i);
+            while bits != 0 {
+                let u = (i * 64) as VertexId + bits.trailing_zeros();
+                bits &= bits - 1;
+                updates += u64::from(self.remove_into_cover(g, u)) + 1;
+            }
+        }
+        updates
+    }
+
+    /// [`remove_neighbors`](Self::remove_neighbors) in one pass over
+    /// the live mask, the way the paper's block removes a neighborhood
+    /// together (§IV-B). With `M = row(v) & live`, each live `w`
+    /// outside `M` loses `popcount(row(w) & M)`, its edges into `M`;
+    /// `M`'s words are read before the live mask changes, so `M` needs
+    /// no buffer. Then `M` leaves the live mask. The removed edges are
+    /// `(Σ_{u∈M} d(u) + cross) / 2`, `cross` the sum of the losses:
+    /// each edge inside `M` counts twice in the degree sum, each edge
+    /// out of `M` once there and once in `cross`.
+    pub(crate) fn remove_neighbors_as_a_set(
+        &mut self,
+        g: &CsrGraph,
+        rows: &AdjacencyRows,
+        v: VertexId,
+    ) -> u64 {
+        let row = rows.row(v);
+        let (degrees, mask) = self.slots.split_at_mut(self.len as usize);
+        let mut cross = 0u64;
+        for (i, (&r, live)) in row.iter().zip(mask.chunks_exact(2)).enumerate() {
+            let mut outside = mask_word(live) & !r;
+            while outside != 0 {
+                let w = i * 64 + outside.trailing_zeros() as usize;
+                outside &= outside - 1;
+                let lost: u32 = rows
+                    .row(w as VertexId)
+                    .iter()
+                    .zip(row)
+                    .zip(mask.chunks_exact(2))
+                    .map(|((&a, &r), live)| (a & r & mask_word(live)).count_ones())
+                    .sum();
+                degrees[w] -= lost as i32;
+                cross += u64::from(lost);
+            }
+        }
+        let (mut count, mut degree_sum, mut weight) = (0u32, 0u64, 0u64);
+        for (i, (&r, live)) in row.iter().zip(mask.chunks_exact_mut(2)).enumerate() {
+            let word = mask_word(live);
+            let mut bits = r & word;
+            count += bits.count_ones();
+            while bits != 0 {
+                let u = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                degree_sum += degrees[u] as u64;
+                degrees[u] = REMOVED;
+                weight += g.weight(u as VertexId);
+            }
+            let rest = word & !r;
+            live[0] = rest as u32 as i32;
+            live[1] = (rest >> 32) as u32 as i32;
+        }
+        let edges = (degree_sum + cross) / 2;
+        self.cover_size += count;
+        self.cover_weight += weight;
+        self.num_edges -= edges;
+        edges + u64::from(count)
     }
 
     /// First live neighbor of `v` (for the degree-one rule), if any.

@@ -116,15 +116,11 @@ impl<'a> Kernel<'a> {
     }
 
     /// Removes all live neighbors of `v` into the cover (Figure 4 lines
-    /// 21–22), in ascending order. Each neighbor is handled by a thread
-    /// that walks the neighbor's own adjacency to decrement degrees, so
-    /// the charged work is `Σ (d + 1)` over the removed vertices'
-    /// degrees at their removal.
-    ///
-    /// With [`AdjacencyRows`](parvc_graph::AdjacencyRows) the live
-    /// neighbors come a mask word at a time. Removing one neighbor
-    /// clears only its own live bit, so a word read before its first
-    /// removal still lists the rest.
+    /// 21–22) through [`TreeNode::remove_neighbors`](crate::TreeNode::remove_neighbors).
+    /// Each neighbor is handled by a thread that walks the neighbor's
+    /// own adjacency to decrement degrees, so the charged work is
+    /// `Σ (d + 1)` over the removed vertices' degrees at their removal
+    /// in ascending order, whichever pass the node takes.
     pub fn remove_neighbors(
         &self,
         node: &mut crate::TreeNode,
@@ -132,26 +128,7 @@ impl<'a> Kernel<'a> {
         activity: Activity,
         counters: &mut BlockCounters,
     ) {
-        let mut updates = 0u64;
-        match self.graph.adjacency_rows() {
-            Some(rows) => {
-                for (i, &r) in rows.row(v).iter().enumerate() {
-                    let mut bits = r & node.live_word(i);
-                    while bits != 0 {
-                        let u = (i * 64) as VertexId + bits.trailing_zeros();
-                        bits &= bits - 1;
-                        updates += node.remove_into_cover(self.graph, u) as u64 + 1;
-                    }
-                }
-            }
-            None => {
-                for &u in self.graph.neighbors(v) {
-                    if !node.is_removed(u) {
-                        updates += node.remove_into_cover(self.graph, u) as u64 + 1;
-                    }
-                }
-            }
-        }
+        let updates = node.remove_neighbors(self.graph, v);
         counters.charge(
             activity,
             self.cost
@@ -299,10 +276,13 @@ mod tests {
     /// On both sides of the row threshold and on random partial
     /// covers, removing a live vertex's neighbors leaves the degree
     /// array a naive CSR walk leaves, and charges `Σ (d + 1)` over the
-    /// neighbors' degrees at their removal.
+    /// neighbors' degrees at their removal. On a graph with rows, both
+    /// passes are checked on every call, whichever one the call takes,
+    /// and each is taken somewhere.
     #[test]
     fn remove_neighbors_matches_a_csr_walk_on_both_sides_of_the_threshold() {
         let cost = CostModel::default();
+        let mut taken = [0u32; 2];
         for (i, g) in crate::node::testing::graphs().iter().enumerate() {
             let k = Kernel::sequential(g, &cost);
             for node in crate::node::testing::partial_covers(g, i as u64) {
@@ -329,9 +309,39 @@ mod tests {
                     let charge = cost.parallel_op(updates, 1, k.variant) + cost.atomic_op;
                     assert_eq!(c.cycles(Activity::RemoveNeighbors), charge, "{ctx}");
                     got.check_consistency(g).unwrap();
+                    let Some(rows) = g.adjacency_rows() else {
+                        continue;
+                    };
+                    taken[usize::from(node.set_pass_is_cheaper(rows.row(v)))] += 1;
+                    let mut in_turn = node.clone();
+                    let mut as_a_set = node.clone();
+                    let passes = [
+                        (
+                            "in turn",
+                            in_turn.remove_neighbors_in_turn(g, rows.row(v)),
+                            &in_turn,
+                        ),
+                        (
+                            "as a set",
+                            as_a_set.remove_neighbors_as_a_set(g, rows, v),
+                            &as_a_set,
+                        ),
+                    ];
+                    for (pass, got_updates, after) in passes {
+                        assert_eq!(got_updates, updates, "{ctx}, {pass}");
+                        assert_eq!(after.degrees(), &degrees[..], "{ctx}, {pass}");
+                        after
+                            .check_consistency(g)
+                            .unwrap_or_else(|e| panic!("{ctx}, {pass}: {e}"));
+                        assert_eq!(after, &got, "{ctx}, {pass}");
+                    }
                 }
             }
         }
+        assert!(
+            taken.iter().all(|&n| n > 0),
+            "in turn / as a set: {taken:?}"
+        );
     }
 
     #[test]

@@ -33,6 +33,9 @@ pub struct BlockScratch {
     /// Bound-phase residual vertex capacities for the weighted bound's
     /// edge packing.
     pub residual: Vec<u64>,
+    /// Bound-phase mask of the live vertices whose residual capacity
+    /// is not yet drained, laid out like the node's live mask.
+    pub slack: Vec<u64>,
 }
 
 impl BlockScratch {
@@ -50,20 +53,23 @@ impl BlockScratch {
         &mut self.free
     }
 
-    /// `free` as [`free_for`](Self::free_for) leaves it, and `residual`
-    /// holding the vertex weights (all 1 when `weights` is `None`): the
-    /// state the weighted bound's packing starts from.
+    /// `free` as [`free_for`](Self::free_for) leaves it, `residual`
+    /// holding the vertex weights (all 1 when `weights` is `None`) and
+    /// `slack` holding the live mask: the state the weighted bound's
+    /// packing starts from.
     pub fn packing_for(
         &mut self,
         node: &TreeNode,
         weights: Option<&[u64]>,
-    ) -> (&mut [u64], &mut [u64]) {
+    ) -> (&mut [u64], &mut [u64], &mut [u64]) {
         self.free_for(node);
+        self.slack.clear();
+        self.slack.extend_from_slice(&self.free);
         self.residual.clear();
         match weights {
             Some(w) => self.residual.extend_from_slice(w),
             None => self.residual.resize(node.len() as usize, 1),
         }
-        (&mut self.free, &mut self.residual)
+        (&mut self.free, &mut self.residual, &mut self.slack)
     }
 }

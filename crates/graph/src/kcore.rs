@@ -3,9 +3,10 @@
 //! The degeneracy of a graph bounds how much the reduction rules can
 //! bite: a graph whose `2`-core is empty dissolves completely under the
 //! degree-one rule, which is why tree-like stand-ins make useless
-//! vertex-cover benchmarks (see DESIGN.md §4 on the power-grid
-//! substitution). The suite uses these tools to characterize instances;
-//! the `analyze` CLI surfaces them.
+//! vertex-cover benchmarks; [`crate::gen::power_grid_like`] is a
+//! spanning tree plus random chords, so its `2`-core is not empty. The
+//! suite uses these tools to characterize instances; the `analyze` CLI
+//! surfaces them.
 
 use crate::{CsrGraph, VertexId};
 

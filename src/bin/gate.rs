@@ -26,8 +26,10 @@
 //! its suite with `--json bench/baselines/<file>` and committing.
 //!
 //! `multiblock` has no baseline: multi-block tree shapes depend on the
-//! interleaving, so it prints each cell's tree-node range and asserts
-//! only that every answer is optimal by the grid-1 `seq` solve.
+//! interleaving, so it prints each cell's tree-node range and each
+//! instance's coverage (the share of parallel solves in which two or
+//! more blocks visited tree nodes), and asserts only that every answer
+//! is optimal by the grid-1 `seq` solve.
 //!
 //! Exit status: 0 on a pass, 1 on a baseline regression, 2 on bad
 //! arguments; a failed suite assertion panics.
@@ -712,6 +714,8 @@ const REPS: usize = 5;
 
 /// A multi-block instance with its grid-1 `seq` optima.
 struct Case {
+    /// Position in the corpus.
+    index: usize,
     /// Carries weights; the cardinality solves ignore them.
     graph: CsrGraph,
     size: u32,
@@ -719,11 +723,16 @@ struct Case {
 }
 
 /// Every instance of the `components` and `approx` corpora, plus one
-/// of each dense `dense-search` family of the benchmark. Each must be
+/// of each dense `dense-search` family of the benchmark and
+/// `gnp:100:0.15@1`, whose search spreads over the blocks. Each must be
 /// solved to the grid-1 `seq` optimum in MVC and weighted MVC, and
 /// PVC at that optimum minus one must answer "no".
+///
+/// Coverage, per instance and overall, is the share of the parallel
+/// policies' solves in which two or more blocks visited tree nodes. It
+/// is printed and reported, never gated.
 fn multiblock(opts: &Opts) -> Vec<(&'static str, Value)> {
-    let dense = ["phat:70:2@1", "gnp:55:0.25@1"].map(|s| {
+    let dense = ["phat:70:2@1", "gnp:55:0.25@1", "gnp:100:0.15@1"].map(|s| {
         let g = spec::parse(s).expect("spec parses").expect("a generator");
         (s, g)
     });
@@ -744,6 +753,7 @@ fn multiblock(opts: &Opts) -> Vec<(&'static str, Value)> {
             (
                 name,
                 Case {
+                    index: i,
                     graph,
                     size,
                     weight,
@@ -751,6 +761,10 @@ fn multiblock(opts: &Opts) -> Vec<(&'static str, Value)> {
             )
         })
         .collect();
+    let names: Vec<&str> = corpus.iter().map(|&(name, _)| name).collect();
+    // Per instance: parallel solves spread over two or more blocks, and
+    // parallel solves.
+    let mut spread = vec![(0u64, 0u64); corpus.len()];
     let instances = matrix("multiblock", corpus, "size", |label, case, algorithm| {
         let g = &case.graph;
         let mut grids = Vec::new();
@@ -788,6 +802,15 @@ fn multiblock(opts: &Opts) -> Vec<(&'static str, Value)> {
                 for (range, n) in nodes.iter_mut().zip(counts) {
                     *range = (range.0.min(n), range.1.max(n));
                 }
+                if algorithm != Algorithm::Sequential {
+                    let (spread, solves) = &mut spread[case.index];
+                    for stats in [&mvc.stats, &w.stats, &pvc.stats] {
+                        let blocks = &stats.report.blocks;
+                        let working = blocks.iter().filter(|b| b.tree_nodes_visited > 0).count();
+                        *spread += u64::from(working > 1);
+                        *solves += 1;
+                    }
+                }
             }
             let [m, w, p] = nodes;
             eprintln!(
@@ -805,7 +828,32 @@ fn multiblock(opts: &Opts) -> Vec<(&'static str, Value)> {
         }
         (u64::from(case.size), vec![("grids", Value::Arr(grids))])
     });
-    vec![("instances", instances)]
+    let share = |(spread, solves): (u64, u64)| {
+        vec![
+            ("spread", Value::Num(spread)),
+            ("solves", Value::Num(solves)),
+        ]
+    };
+    let mut rows = Vec::new();
+    for (name, &tally) in names.iter().zip(&spread) {
+        eprintln!(
+            "[gate multiblock] coverage {name}: {} of {} solves spread over two or more blocks",
+            tally.0, tally.1
+        );
+        let mut row = share(tally);
+        row.push(("name", Value::Str(name.to_string())));
+        rows.push(obj(row));
+    }
+    let total = spread.iter().fold((0, 0), |(a, b), &(s, n)| (a + s, b + n));
+    eprintln!(
+        "[gate multiblock] coverage overall: {} of {} solves spread over two or more blocks",
+        total.0, total.1
+    );
+    vec![
+        ("instances", instances),
+        ("coverage", Value::Arr(rows)),
+        ("coverage_overall", obj(share(total))),
+    ]
 }
 
 #[cfg(test)]

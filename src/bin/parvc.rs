@@ -37,6 +37,7 @@
 //! `pace n communities`, `components n parts p`,
 //! `bipartite left right p`, `grid w h`.
 
+use std::io::Write;
 use std::time::Duration;
 
 use parvc::core::split::SplitParams;
@@ -44,13 +45,38 @@ use parvc::graph::{analysis, gen, io, kcore, matching, ops};
 use parvc::prelude::*;
 use parvc::prep::{preprocess, PrepConfig};
 
+/// `print!` through [`to_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        to_stdout(|out| write!(out, $($arg)*))
+    };
+}
+
+/// `println!` through [`to_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        to_stdout(|out| writeln!(out, $($arg)*))
+    };
+}
+
+/// Runs `write` on standard output and flushes it. Every command's
+/// report goes through here: a write that fails (a closed pipe, a full
+/// disk) exits 1 with a message instead of panicking.
+fn to_stdout(write: impl FnOnce(&mut std::io::StdoutLock<'static>) -> std::io::Result<()>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = write(&mut out).and_then(|()| out.flush()) {
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str);
     if args.iter().any(|a| a == "--help") {
         match cmd.and_then(find_command) {
-            Some(c) => print!("{}", c.render_text()),
-            None => print!("{}", help_text()),
+            Some(c) => out!("{}", c.render_text()),
+            None => out!("{}", help_text()),
         }
         return;
     }
@@ -65,9 +91,9 @@ fn main() {
         Some("demo") => cmd_demo(),
         Some("help") => {
             if args[1..].iter().any(|a| a == "--markdown") {
-                print!("{}", help_markdown());
+                out!("{}", help_markdown());
             } else {
-                print!("{}", help_text());
+                out!("{}", help_text());
             }
         }
         _ => {
@@ -805,11 +831,11 @@ fn cmd_solve(args: &[String]) {
             match &r.cover {
                 Some(cover) => {
                     assert!(is_vertex_cover(&g, cover));
-                    println!("yes: cover of size {} <= {k}", cover.len());
-                    println!("{:?}", cover);
+                    outln!("yes: cover of size {} <= {k}", cover.len());
+                    outln!("{:?}", cover);
                 }
-                None if r.stats.timed_out => println!("unknown: budget exhausted"),
-                None => println!("no: no vertex cover of size <= {k} exists"),
+                None if r.stats.timed_out => outln!("unknown: budget exhausted"),
+                None => outln!("no: no vertex cover of size <= {k} exists"),
             }
             eprintln!(
                 "{} tree nodes, {:.3}s",
@@ -823,23 +849,25 @@ fn cmd_solve(args: &[String]) {
             assert!(is_vertex_cover(&g, &r.cover));
             match (weighted, r.stats.timed_out) {
                 (true, false) => {
-                    println!(
+                    outln!(
                         "minimum weight vertex cover: weight {} ({} vertices)",
-                        r.weight, r.size
+                        r.weight,
+                        r.size
                     );
                 }
                 (true, true) => {
-                    println!(
+                    outln!(
                         "best cover found (NOT proven minimum): weight {} ({} vertices)",
-                        r.weight, r.size
+                        r.weight,
+                        r.size
                     );
                 }
-                (false, false) => println!("minimum vertex cover: {}", r.size),
+                (false, false) => outln!("minimum vertex cover: {}", r.size),
                 (false, true) => {
-                    println!("best cover found (NOT proven minimum): {}", r.size)
+                    outln!("best cover found (NOT proven minimum): {}", r.size)
                 }
             }
-            println!("{:?}", r.cover);
+            outln!("{:?}", r.cover);
             eprintln!(
                 "{} tree nodes, {:.3}s (greedy bound was {})",
                 r.stats.tree_nodes,
@@ -954,14 +982,17 @@ fn cmd_resolve(args: &[String]) {
     let initial = solver.solve_mvc(&g);
     assert!(is_vertex_cover(&g, &initial.cover));
     if weighted {
-        println!(
+        outln!(
             "initial optimum: weight {} ({} vertices), {} tree nodes",
-            initial.weight, initial.size, initial.stats.tree_nodes
+            initial.weight,
+            initial.size,
+            initial.stats.tree_nodes
         );
     } else {
-        println!(
+        outln!(
             "initial optimum: {}, {} tree nodes",
-            initial.size, initial.stats.tree_nodes
+            initial.size,
+            initial.stats.tree_nodes
         );
     }
     let summary = edits.summary(&g);
@@ -979,21 +1010,23 @@ fn cmd_resolve(args: &[String]) {
     });
     assert!(is_vertex_cover(&r.graph, &r.result.cover));
     match (weighted, r.result.stats.timed_out) {
-        (true, false) => println!(
+        (true, false) => outln!(
             "resolved optimum: weight {} ({} vertices)",
-            r.result.weight, r.result.size
+            r.result.weight,
+            r.result.size
         ),
-        (true, true) => println!(
+        (true, true) => outln!(
             "best resolved cover (NOT proven minimum): weight {} ({} vertices)",
-            r.result.weight, r.result.size
+            r.result.weight,
+            r.result.size
         ),
-        (false, false) => println!("resolved optimum: {}", r.result.size),
-        (false, true) => println!(
+        (false, false) => outln!("resolved optimum: {}", r.result.size),
+        (false, true) => outln!(
             "best resolved cover (NOT proven minimum): {}",
             r.result.size
         ),
     }
-    println!("{:?}", r.result.cover);
+    outln!("{:?}", r.result.cover);
     let s = &r.stats;
     eprintln!(
         "components: {} total, {} reused, {} invalidated, {} re-solved",
@@ -1041,23 +1074,25 @@ fn cmd_approx(args: &[String]) {
     let elapsed = start.elapsed();
     assert!(is_vertex_cover(&g, &a.cover));
     if weighted {
-        println!(
+        outln!(
             "2-approximate cover: weight {} ({} vertices)",
             a.cost,
             a.cover.len()
         );
-        println!(
+        outln!(
             "primal-dual certificate: optimum weight in [{}, {}]",
-            a.lower_bound, a.cost
+            a.lower_bound,
+            a.cost
         );
     } else {
-        println!("2-approximate cover: {} vertices", a.cost);
-        println!(
+        outln!("2-approximate cover: {} vertices", a.cost);
+        outln!(
             "matching certificate: optimum size in [{}, {}]",
-            a.lower_bound, a.cost
+            a.lower_bound,
+            a.cost
         );
     }
-    println!("{:?}", a.cover);
+    outln!("{:?}", a.cover);
     eprintln!(
         "{} matching round(s){}, {:.3}s",
         a.rounds,
@@ -1134,7 +1169,7 @@ fn cmd_serve(args: &[String]) {
         };
         for line in text.lines() {
             if let Some(response) = server.handle(line) {
-                println!("{response}");
+                outln!("{response}");
             }
         }
         return;
@@ -1171,31 +1206,44 @@ fn cmd_prep(args: &[String]) {
     let elapsed = start.elapsed();
     let s = &kernel.stats;
 
-    println!(
+    outln!(
         "original: |V|={} |E|={}",
-        s.original_vertices, s.original_edges
+        s.original_vertices,
+        s.original_edges
     );
-    println!(
+    outln!(
         "{:<16} {:>10} {:>10} {:>7}",
-        "rule", "covered", "excluded", "passes"
+        "rule",
+        "covered",
+        "excluded",
+        "passes"
     );
     for r in &s.rules {
         match r.note {
-            Some(note) => println!(
+            Some(note) => outln!(
                 "{:<16} {:>10} {:>10} {:>7}  [{note}]",
-                r.name, "-", "-", "-"
+                r.name,
+                "-",
+                "-",
+                "-"
             ),
-            None => println!(
+            None => outln!(
                 "{:<16} {:>10} {:>10} {:>7}",
-                r.name, r.covered, r.excluded, r.passes
+                r.name,
+                r.covered,
+                r.excluded,
+                r.passes
             ),
         }
     }
-    println!(
+    outln!(
         "kernel:   |V|={} |E|={} in {} components (largest {})",
-        s.kernel_vertices, s.kernel_edges, s.components, s.largest_component
+        s.kernel_vertices,
+        s.kernel_edges,
+        s.components,
+        s.largest_component
     );
-    println!(
+    outln!(
         "eliminated {:.1}% of vertices ({} forced into the cover, {} avoidable) \
          in {} rounds, {:.3}s",
         s.elimination() * 100.0,
@@ -1208,14 +1256,14 @@ fn cmd_prep(args: &[String]) {
         let cover = kernel.lift(&[]);
         assert!(is_vertex_cover(&g, &cover));
         if cfg.weighted {
-            println!(
+            outln!(
                 "fully reduced: preprocessing alone proves the minimum weight vertex cover \
                  is {} ({} vertices)",
                 g.cover_weight(&cover),
                 cover.len()
             );
         } else {
-            println!(
+            outln!(
                 "fully reduced: preprocessing alone proves the minimum vertex cover is {}",
                 cover.len()
             );
@@ -1257,14 +1305,7 @@ fn cmd_generate(args: &[String]) {
                 g.num_edges()
             );
         }
-        None => {
-            use std::io::Write;
-            let mut out = std::io::stdout().lock();
-            if let Err(e) = out.write_all(&dimacs_text(&g)).and_then(|()| out.flush()) {
-                eprintln!("cannot write to stdout: {e}");
-                std::process::exit(1);
-            }
-        }
+        None => to_stdout(|out| out.write_all(&dimacs_text(&g))),
     }
 }
 
@@ -1273,19 +1314,22 @@ fn cmd_analyze(args: &[String]) {
     let g = instance_or_exit("analyze", &flags);
     let stats = analysis::degree_stats(&g);
     let (_, components) = ops::connected_components(&g);
-    println!("vertices:        {}", g.num_vertices());
-    println!("edges:           {}", g.num_edges());
-    println!("|E|/|V|:         {:.3}", analysis::edge_vertex_ratio(&g));
-    println!("degree class:    {}", analysis::degree_class(&g));
-    println!(
+    outln!("vertices:        {}", g.num_vertices());
+    outln!("edges:           {}", g.num_edges());
+    outln!("|E|/|V|:         {:.3}", analysis::edge_vertex_ratio(&g));
+    outln!("degree class:    {}", analysis::degree_class(&g));
+    outln!(
         "degrees:         min {} / mean {:.2} / max {} / stddev {:.2}",
-        stats.min, stats.mean, stats.max, stats.std_dev
+        stats.min,
+        stats.mean,
+        stats.max,
+        stats.std_dev
     );
-    println!("components:      {components}");
-    println!("triangles:       {}", analysis::triangle_count(&g));
+    outln!("components:      {components}");
+    outln!("triangles:       {}", analysis::triangle_count(&g));
     let core = kcore::core_decomposition(&g);
     let two_core = core.core_number.iter().filter(|&&c| c >= 2).count();
-    println!(
+    outln!(
         "degeneracy:      {} ({} of {} vertices survive the reduction-resistant 2-core)",
         core.degeneracy,
         two_core,
@@ -1294,19 +1338,19 @@ fn cmd_analyze(args: &[String]) {
     match matching::bipartition(&g) {
         Some(_) => {
             let cover = matching::konig_cover(&g).expect("bipartite");
-            println!("bipartite:       yes — exact MVC by Kőnig: {}", cover.len());
+            outln!("bipartite:       yes — exact MVC by Kőnig: {}", cover.len());
         }
         None => {
             let lb = matching::greedy_maximal_matching(&g).len();
             let (ub, _) = parvc::core::greedy::greedy_mvc(&g);
-            println!("bipartite:       no — MVC within [{lb}, {ub}] (matching LB, greedy UB)");
+            outln!("bipartite:       no — MVC within [{lb}, {ub}] (matching LB, greedy UB)");
         }
     }
 }
 
 fn cmd_demo() {
     let g = gen::paper_example();
-    println!(
+    outln!(
         "the paper's Figure 2 graph ({} vertices, {} edges)",
         g.num_vertices(),
         g.num_edges()
@@ -1316,7 +1360,7 @@ fn cmd_demo() {
         .grid_limit(Some(4))
         .build();
     let r = solver.solve_mvc(&g);
-    println!("minimum vertex cover: {} = {:?}", r.size, r.cover);
+    outln!("minimum vertex cover: {} = {:?}", r.size, r.cover);
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The `parvc` binary's front end, run as a process: the exit codes a
 //! script can rely on. 2 is a usage error (a malformed flag or
-//! generator spec), 1 a file that cannot be read or written, 0
-//! success. A request the server refuses is an error line, not an
-//! exit.
+//! generator spec), 1 a file or standard output that cannot be read
+//! or written, 0 success. A request the server refuses is an error
+//! line, not an exit.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -10,6 +10,11 @@ use std::process::{Command, Output, Stdio};
 
 /// Runs `parvc` with `args`, feeding `stdin` when given.
 fn parvc(args: &[&str], stdin: Option<&str>) -> Output {
+    parvc_to(args, stdin, Stdio::piped())
+}
+
+/// [`parvc`] with standard output sent to `stdout`.
+fn parvc_to(args: &[&str], stdin: Option<&str>, stdout: Stdio) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_parvc"))
         .args(args)
         .stdin(if stdin.is_some() {
@@ -17,7 +22,7 @@ fn parvc(args: &[&str], stdin: Option<&str>) -> Output {
         } else {
             Stdio::null()
         })
-        .stdout(Stdio::piped())
+        .stdout(stdout)
         .stderr(Stdio::piped())
         .spawn()
         .expect("start parvc");
@@ -94,19 +99,29 @@ fn unreadable_inputs_and_unwritable_outputs_exit_1() {
     assert_exit(&["prep", "gnp:10:0.5", "--out", unwritable], 1);
     assert_exit(&["solve", "gnp:10:0.5", "--metrics-out", unwritable], 1);
 
+    // Standard output on a full device: every command that prints
+    // its report there exits 1.
     if cfg!(target_os = "linux") {
-        let full = std::fs::OpenOptions::new()
-            .write(true)
-            .open("/dev/full")
-            .expect("open /dev/full");
-        let args = ["generate", "gnp", "10", "0.5"];
-        let out = Command::new(env!("CARGO_BIN_EXE_parvc"))
-            .args(args)
-            .stdout(full)
-            .stderr(Stdio::piped())
-            .output()
-            .expect("run parvc");
-        assert_exited(&args, &out, 1);
+        let runs: [(&[&str], Option<&str>); 8] = [
+            (&["generate", "gnp", "10", "0.5"], None),
+            (&["solve", "gnp:10:0.5"], None),
+            (&["prep", "gnp:10:0.5"], None),
+            (&["analyze", "gnp:10:0.5"], None),
+            (&["approx", "gnp:10:0.5"], None),
+            (&["resolve", "--edits", "gen:4@1", "gnp:10:0.5"], None),
+            (&["help"], None),
+            (
+                &["serve", "--script", "-"],
+                Some("LOAD g gnp:10:0.5\nSOLVE g\n"),
+            ),
+        ];
+        for (args, stdin) in runs {
+            let full = std::fs::OpenOptions::new()
+                .write(true)
+                .open("/dev/full")
+                .expect("open /dev/full");
+            assert_exited(args, &parvc_to(args, stdin, full.into()), 1);
+        }
     }
 }
 

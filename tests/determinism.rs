@@ -69,7 +69,8 @@ fn generators_are_run_to_run_stable() {
 
 #[test]
 fn suite_fingerprints_match_experiments_doc() {
-    // EXPERIMENTS.md quotes |V|/|E| per instance; keep them honest.
+    // The bench tables print |V|/|E| per suite instance; pin them so
+    // a generator or RNG change cannot shift the suite unnoticed.
     use parvc_bench_fingerprints::*;
     for (name, v, e) in EXPECTED {
         let inst = find(name);

@@ -1,9 +1,11 @@
 //! Shape regression: the paper's qualitative claims, as assertions.
 //!
-//! These tests pin the *direction* of every headline comparison in
-//! EXPERIMENTS.md with wide margins, so a future refactor that quietly
-//! breaks the load-balancing story (without breaking correctness)
-//! fails CI. All margins are several-fold below the measured gaps.
+//! These tests pin the *direction* of the paper's headline
+//! comparisons (Table I, Figures 5 and 6, which the `table1`, `fig5`
+//! and `fig6` bench binaries reproduce) with wide margins, so a future
+//! refactor that quietly breaks the load-balancing story (without
+//! breaking correctness) fails CI. All margins are several-fold below
+//! the measured gaps.
 
 use parvc::core::{Algorithm, Solver};
 use parvc::graph::gen;
