@@ -5,8 +5,9 @@
 
 use parvc_bench::cli::BenchArgs;
 use parvc_bench::format::{fmt_seconds, Table};
-use parvc_bench::runner::{make_solver, Impl};
+use parvc_bench::runner::make_solver;
 use parvc_bench::suite::suite;
+use parvc_core::Algorithm;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -23,9 +24,9 @@ fn main() {
         "nodes(hyb)",
     ]);
     for inst in suite(args.scale) {
-        let hybrid = make_solver(Impl::Hybrid, &args, Some(args.deadline));
+        let hybrid = make_solver(Algorithm::Hybrid, &args, Some(args.deadline));
         let hy = hybrid.solve_mvc(&inst.graph);
-        let seq = make_solver(Impl::Sequential, &args, Some(args.deadline));
+        let seq = make_solver(Algorithm::Sequential, &args, Some(args.deadline));
         let sq = seq.solve_mvc(&inst.graph);
         table.row(vec![
             inst.name.clone(),

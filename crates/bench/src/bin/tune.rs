@@ -4,7 +4,8 @@
 
 use parvc_bench::cli::BenchArgs;
 use parvc_bench::format::{fmt_seconds, Table};
-use parvc_bench::runner::{make_solver, Impl};
+use parvc_bench::runner::make_solver;
+use parvc_core::Algorithm;
 use parvc_graph::{gen, CsrGraph};
 
 fn main() {
@@ -45,10 +46,17 @@ fn main() {
         "min(long)",
     ]);
     for (name, g) in candidates {
-        let hy = make_solver(Impl::Hybrid, &args, Some(args.deadline)).solve_mvc(&g);
-        let sq = make_solver(Impl::Sequential, &args, Some(args.deadline)).solve_mvc(&g);
-        let so = make_solver(Impl::StackOnly, &args, Some(args.deadline)).solve_mvc(&g);
-        let long = make_solver(Impl::Hybrid, &args, Some(args.min_budget)).solve_mvc(&g);
+        let hy = make_solver(Algorithm::Hybrid, &args, Some(args.deadline)).solve_mvc(&g);
+        let sq = make_solver(Algorithm::Sequential, &args, Some(args.deadline)).solve_mvc(&g);
+        let so = make_solver(
+            Algorithm::StackOnly {
+                start_depth: args.start_depth,
+            },
+            &args,
+            Some(args.deadline),
+        )
+        .solve_mvc(&g);
+        let long = make_solver(Algorithm::Hybrid, &args, Some(args.min_budget)).solve_mvc(&g);
         table.row(vec![
             name,
             g.num_vertices().to_string(),

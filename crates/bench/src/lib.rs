@@ -12,7 +12,7 @@
 //! | `sensitivity` | §V-A in-text robustness numbers (block size, depth, worklist) |
 //! | `ablation` | hybrid vs its two degenerate extremes (pure stacks / pure worklist) |
 //! | `massive` | `Scale::Massive` — kernelization + component decomposition vs the unpreprocessed baseline on ≥100k-vertex sparse instances |
-//! | `components` | in-search component branching (arXiv 2512.18334): split-on vs split-off tree-node counts, union-find vs BFS split-check cost, WorkStealing vs ComponentSteal |
+//! | `components` | in-search component branching (arXiv 2512.18334): split-on vs split-off tree-node counts, the union-find check's cost, WorkStealing vs ComponentSteal |
 //! | `all` | everything above (except `massive` and `components`) in sequence |
 //!
 //! Run e.g. `cargo run -p parvc-bench --release --bin table1 -- --scale small --deadline 5`.

@@ -1,8 +1,7 @@
 //! Report generators: one function per table/figure of the paper.
 
 use parvc_core::{
-    is_vertex_cover, Algorithm, ExecutorSpec, Extensions, PrepConfig, Solver, SplitBackend,
-    SplitBound, SplitParams,
+    is_vertex_cover, Algorithm, ExecutorSpec, Extensions, PrepConfig, Solver, SplitParams,
 };
 use parvc_graph::CsrGraph;
 use parvc_simgpu::counters::{Activity, SmLoad};
@@ -11,7 +10,7 @@ use parvc_simgpu::DeviceSpec;
 
 use crate::cli::BenchArgs;
 use crate::format::{fmt_seconds, geomean, Table};
-use crate::runner::{self, compute_min, make_solver, run_instance, Impl, InstanceRow, Problem};
+use crate::runner::{self, compute_min, make_solver, run_instance, InstanceRow, Problem, COLUMNS};
 use crate::suite::{fig5_pair, phat_suite, suite, Instance, Scale};
 
 /// Runs the full Table I grid once (shared by `table1` and `table2`).
@@ -46,8 +45,8 @@ pub fn table1(args: &BenchArgs, grid: &[(Instance, InstanceRow)]) {
         "min".to_string(),
     ];
     for p in Problem::ALL {
-        for i in Impl::ALL {
-            headers.push(format!("{}:{}", short_problem(p), short_impl(i)));
+        for a in COLUMNS {
+            headers.push(format!("{}:{}", short_problem(p), a.name()));
         }
     }
     let mut t = Table::new(headers);
@@ -64,11 +63,8 @@ pub fn table1(args: &BenchArgs, grid: &[(Instance, InstanceRow)]) {
             format!("{:.2}", inst.ratio()),
             row.min.map_or("?".into(), |m| m.to_string()),
         ];
-        for pi in 0..Problem::ALL.len() {
-            for ii in 0..Impl::ALL.len() {
-                let c = &row.cells[pi][ii];
-                cells.push(fmt_seconds(c.seconds, c.timed_out));
-            }
+        for c in row.cells.iter().flatten() {
+            cells.push(fmt_seconds(c.seconds, c.timed_out));
         }
         t.row(cells);
     }
@@ -104,13 +100,13 @@ pub fn table2(grid: &[(Instance, InstanceRow)]) {
             .filter(|(i, _)| split.is_none() || Some(i.class) == split)
             .collect();
         let mut cells = vec![split.map_or("Overall".to_string(), |c| c.to_string())];
-        for base in [Impl::StackOnly, Impl::Sequential] {
+        for base in ["stack", "seq"] {
             for (pi, _) in Problem::ALL.iter().enumerate() {
                 let ratios: Vec<f64> = rows
                     .iter()
                     .map(|(_, r)| {
-                        let hybrid = &r.cells[pi][impl_index(Impl::Hybrid)];
-                        let baseline = &r.cells[pi][impl_index(base)];
+                        let hybrid = &r.cells[pi][column("hybrid")];
+                        let baseline = &r.cells[pi][column(base)];
                         (baseline.seconds / hybrid.seconds.max(1e-6)).max(1e-6)
                     })
                     .collect();
@@ -122,8 +118,12 @@ pub fn table2(grid: &[(Instance, InstanceRow)]) {
     t.print();
 }
 
-fn impl_index(i: Impl) -> usize {
-    Impl::ALL.iter().position(|&x| x == i).expect("impl in ALL")
+/// The index of the policy named `name` in [`COLUMNS`].
+fn column(name: &str) -> usize {
+    COLUMNS
+        .iter()
+        .position(|a| a.name() == name)
+        .expect("a table column")
 }
 
 fn short_problem(p: Problem) -> &'static str {
@@ -132,16 +132,6 @@ fn short_problem(p: Problem) -> &'static str {
         Problem::PvcMinMinus1 => "k-1",
         Problem::PvcMin => "k0",
         Problem::PvcMinPlus1 => "k+1",
-    }
-}
-
-fn short_impl(i: Impl) -> &'static str {
-    match i {
-        Impl::Sequential => "Seq",
-        Impl::StackOnly => "Stk",
-        Impl::Hybrid => "Hyb",
-        Impl::WorkStealing => "Stl",
-        Impl::ComponentSteal => "Cst",
     }
 }
 
@@ -166,25 +156,21 @@ pub fn table3(args: &BenchArgs) {
         ("p_hat_1000_1", 48.3),
         ("p_hat_1000_2", 30.8),
     ];
-    let mut t = Table::new(vec![
-        "graph",
-        "Sequential",
-        "StackOnly",
-        "Hybrid",
-        "WorkSteal",
-        "paper: Abu-Khzam et al. [15]",
-    ]);
+    let mut headers = vec!["graph"];
+    headers.extend(COLUMNS.map(Algorithm::name));
+    headers.push("paper: Abu-Khzam et al. [15]");
+    let mut t = Table::new(headers);
     for inst in phat_suite(args.scale) {
         let Some(min) = compute_min(&inst, args) else {
             let mut cells = vec![inst.name.clone()];
-            cells.extend(Impl::ALL.iter().map(|_| "?".to_string()));
+            cells.extend(COLUMNS.map(|_| "?".to_string()));
             cells.push(String::new());
             t.row(cells);
             continue;
         };
         let mut cells = vec![inst.name.clone()];
-        for imp in Impl::ALL {
-            let solver = make_solver(imp, args, Some(args.deadline));
+        for algorithm in COLUMNS {
+            let solver = make_solver(algorithm, args, Some(args.deadline));
             let r = solver.solve_pvc(&inst.graph, min);
             cells.push(fmt_seconds(r.stats.seconds(), r.stats.timed_out));
         }
@@ -226,8 +212,11 @@ pub fn fig5(args: &BenchArgs) {
             continue;
         };
         for p in Problem::ALL {
-            for imp in [Impl::StackOnly, Impl::Hybrid] {
-                let solver = make_solver(imp, args, Some(args.deadline));
+            let stack = Algorithm::StackOnly {
+                start_depth: args.start_depth,
+            };
+            for algorithm in [stack, Algorithm::Hybrid] {
+                let solver = make_solver(algorithm, args, Some(args.deadline));
                 let report = match p.k(min) {
                     None => solver.solve_mvc(&inst.graph).stats.report,
                     Some(k) => solver.solve_pvc(&inst.graph, k).stats.report,
@@ -236,7 +225,7 @@ pub fn fig5(args: &BenchArgs) {
                 t.row(vec![
                     inst.name.clone(),
                     p.label().to_string(),
-                    imp.label().to_string(),
+                    algorithm.name().to_string(),
                     format!("{:.2}", load.min()),
                     format!("{:.2}", load.quantile(0.25)),
                     format!("{:.2}", load.quantile(0.5)),
@@ -259,7 +248,7 @@ pub fn fig6(args: &BenchArgs) {
     let instances = suite(args.scale);
     let mut per_graph: Vec<(String, Vec<(Activity, f64)>)> = Vec::new();
     for inst in &instances {
-        let solver = make_solver(Impl::Hybrid, args, Some(args.deadline));
+        let solver = make_solver(Algorithm::Hybrid, args, Some(args.deadline));
         let r = solver.solve_mvc(&inst.graph);
         per_graph.push((inst.name.clone(), r.stats.report.activity_breakdown()));
     }
@@ -323,7 +312,7 @@ pub fn steal_locality(args: &BenchArgs) {
     let device = DeviceSpec::scaled(args.sms);
     let (high, low) = fig5_pair(args.scale);
     for inst in [&high, &low] {
-        let solver = make_solver(Impl::WorkStealing, args, Some(args.deadline));
+        let solver = make_solver(Algorithm::WorkStealing, args, Some(args.deadline));
         let r = solver.solve_mvc(&inst.graph);
         let sms = args.sms as usize;
         let mut matrix = vec![vec![0u64; sms]; sms];
@@ -397,7 +386,7 @@ pub fn massive(args: &BenchArgs) {
     ]);
     for inst in suite(Scale::Massive) {
         eprintln!("[massive] {} ...", inst.name);
-        let prep_solver = solver_with(Impl::WorkStealing, args, |b| {
+        let prep_solver = solver_with(Algorithm::WorkStealing, args, |b| {
             b.preprocess(PrepConfig::default())
         });
         let r = prep_solver.solve_mvc(&inst.graph);
@@ -414,7 +403,7 @@ pub fn massive(args: &BenchArgs) {
         // the work column is one number, valid for both arms; only
         // wall-clock may differ.
         let exec_arm = |spec: ExecutorSpec| {
-            solver_with(Impl::Sequential, args, |b| {
+            solver_with(Algorithm::Sequential, args, |b| {
                 b.preprocess(PrepConfig::default()).executor(spec)
             })
             .solve_mvc(&inst.graph)
@@ -434,7 +423,7 @@ pub fn massive(args: &BenchArgs) {
                 inst.name
             );
         }
-        let base = solver_with(Impl::Sequential, args, |b| b).solve_mvc(&inst.graph);
+        let base = solver_with(Algorithm::Sequential, args, |b| b).solve_mvc(&inst.graph);
         t.row(vec![
             inst.name.clone(),
             inst.graph.num_vertices().to_string(),
@@ -471,16 +460,13 @@ pub fn massive(args: &BenchArgs) {
 /// instance (the latter through the prep pipeline, whose kernel
 /// components are themselves re-split in-search).
 ///
-/// Four arms per instance: the WorkStealing policy with splitting
+/// Three arms per instance: the WorkStealing policy with splitting
 /// off, the same policy with splitting on (inline component-sum
-/// nodes, the default union-find backend + LP sibling bounds), the
-/// same with the PR 3 baseline machinery (from-scratch BFS checks,
-/// matching bounds), and the ComponentSteal policy (components donated
-/// to the steal pool). All arms must agree on the cover size; the
-/// headline columns are tree nodes explored relative to split-off and
-/// the split-check cost (`check work` = vertex reads + adjacency
-/// entries traversed by the connectivity backend), where union-find
-/// must beat the BFS baseline on `massive_components`.
+/// nodes), and the ComponentSteal policy (components donated to the
+/// steal pool). All arms must agree on the cover size; the headline
+/// columns are tree nodes explored relative to split-off and the
+/// split-check cost (`check work` = vertex reads + adjacency entries
+/// traversed by the union-find connectivity tracker).
 pub fn components_report(args: &BenchArgs) {
     println!(
         "\n=== Component branching: split-on vs split-off (budget {:.1}s/solve) ===",
@@ -519,8 +505,8 @@ pub fn components_report(args: &BenchArgs) {
     ]);
     for (name, graph, prep) in &corpus {
         eprintln!("[components] {name} ...");
-        let arm = |imp: Impl, split: Option<SplitParams>| {
-            let solver = solver_with(imp, args, |mut b| {
+        let arm = |algorithm: Algorithm, split: Option<SplitParams>| {
+            let solver = solver_with(algorithm, args, |mut b| {
                 b = match split {
                     Some(params) => b.component_branching_params(params),
                     None => b.component_branching(false),
@@ -532,23 +518,15 @@ pub fn components_report(args: &BenchArgs) {
             });
             solver.solve_mvc(graph)
         };
-        // The PR 3 baseline machinery: from-scratch BFS connectivity,
-        // matching sibling bounds.
-        let bfs_params = SplitParams {
-            backend: SplitBackend::Bfs,
-            bound: SplitBound::Matching,
-            ..SplitParams::default()
-        };
         let runs = [
-            ("split-off", arm(Impl::WorkStealing, None)),
+            ("split-off", arm(Algorithm::WorkStealing, None)),
             (
                 "split-on",
-                arm(Impl::WorkStealing, Some(SplitParams::default())),
+                arm(Algorithm::WorkStealing, Some(SplitParams::default())),
             ),
-            ("split-bfs", arm(Impl::WorkStealing, Some(bfs_params))),
             (
                 "compsteal",
-                arm(Impl::ComponentSteal, Some(SplitParams::default())),
+                arm(Algorithm::ComponentSteal, Some(SplitParams::default())),
             ),
         ];
         let baseline_nodes = runs[0].1.stats.tree_nodes.max(1);
@@ -592,21 +570,6 @@ pub fn components_report(args: &BenchArgs) {
                     runs[0].1.stats.tree_nodes,
                 );
             }
-            // The tentpole cost property: the incremental union-find
-            // backend does strictly less connectivity work than the
-            // from-scratch BFS on the massive component-structured
-            // instance.
-            if *name == "massive_components" {
-                let uf = runs[1].1.stats.report.split_totals();
-                let bfs = runs[2].1.stats.report.split_totals();
-                assert!(
-                    uf.check_work < bfs.check_work,
-                    "{name}: union-find must do strictly less split-check work \
-                     than the BFS baseline ({} >= {})",
-                    uf.check_work,
-                    bfs.check_work,
-                );
-            }
         } else {
             eprintln!("[components] {name}: budget hit — agreement checks skipped");
         }
@@ -619,7 +582,7 @@ pub fn components_report(args: &BenchArgs) {
     println!(
         "(splits = component-sum nodes taken; comps = sub-searches spawned; \
          check work = vertex reads + adjacency entries traversed by the \
-         connectivity backend; size histogram buckets: {})",
+         connectivity tracker; size histogram buckets: {})",
         hist_note.join(", ")
     );
 }
@@ -668,13 +631,10 @@ pub fn weighted_report(args: &BenchArgs) {
             parvc_graph::gen::with_degree_weights(parvc_graph::gen::barabasi_albert(70, 2, 9)),
         ),
     ];
-    let impls = [
-        Impl::Sequential,
-        Impl::StackOnly,
-        Impl::Hybrid,
-        Impl::WorkStealing,
-        Impl::ComponentSteal,
-    ];
+    let policies: Vec<Algorithm> = COLUMNS
+        .into_iter()
+        .chain([Algorithm::ComponentSteal])
+        .collect();
     let mut t = Table::new(vec![
         "graph",
         "|V|",
@@ -689,11 +649,11 @@ pub fn weighted_report(args: &BenchArgs) {
     for (name, graph) in &corpus {
         eprintln!("[weighted] {name} ...");
         // The cardinality baseline: what ignoring the weights costs.
-        let baseline = solver_with(Impl::Sequential, args, |b| b).solve_mvc(graph);
+        let baseline = solver_with(Algorithm::Sequential, args, |b| b).solve_mvc(graph);
         let mut completed: Vec<(String, u64)> = Vec::new();
-        for imp in impls {
+        for &algorithm in &policies {
             for prep in [false, true] {
-                let solver = solver_with(imp, args, |mut b| {
+                let solver = solver_with(algorithm, args, |mut b| {
                     b = b.weighted();
                     if prep {
                         b = b.preprocess(PrepConfig::default());
@@ -704,10 +664,10 @@ pub fn weighted_report(args: &BenchArgs) {
                 assert!(
                     is_vertex_cover(graph, &r.cover),
                     "{name}/{}: returned a non-cover",
-                    imp.label()
+                    algorithm.name()
                 );
                 assert_eq!(r.weight, graph.cover_weight(&r.cover));
-                let arm = format!("{}{}", imp.label(), if prep { "+prep" } else { "" });
+                let arm = format!("{}{}", algorithm.name(), if prep { "+prep" } else { "" });
                 t.row(vec![
                     name.to_string(),
                     graph.num_vertices().to_string(),
@@ -773,7 +733,11 @@ pub fn sensitivity(args: &BenchArgs) {
 
     // (a) Block size: affects model device time via ceil(n/B); the
     // metric is simulated device cycles.
-    for (label, imp) in [("StackOnly", Impl::StackOnly), ("Hybrid", Impl::Hybrid)] {
+    let stack_only = Algorithm::StackOnly {
+        start_depth: args.start_depth,
+    };
+    for algorithm in [stack_only, Algorithm::Hybrid] {
+        let stack = algorithm == stack_only;
         let mut worst_over_best = Vec::new();
         let mut worst_case: f64 = 0.0;
         for inst in &reps {
@@ -787,7 +751,7 @@ pub fn sensitivity(args: &BenchArgs) {
             let device = DeviceSpec::scaled(args.sms);
             let mut cycles = Vec::new();
             for bs in candidate_block_sizes(&device, &req) {
-                let solver = solver_with(imp, args, |b| b.block_size(bs));
+                let solver = solver_with(algorithm, args, |b| b.block_size(bs));
                 let r = solver.solve_mvc(&inst.graph);
                 if !r.stats.timed_out {
                     cycles.push(r.stats.device_cycles.max(1) as f64);
@@ -801,20 +765,13 @@ pub fn sensitivity(args: &BenchArgs) {
             }
         }
         println!(
-            "block size ({label}): worst-config slowdown geomean {:.2}x, worst case {:.2}x \
+            "block size ({}): worst-config slowdown geomean {:.2}x, worst case {:.2}x \
              (paper: {} avg / {} worst)",
+            algorithm.name(),
             geomean(&worst_over_best),
             worst_case,
-            if imp == Impl::StackOnly {
-                "1.55x"
-            } else {
-                "1.39x"
-            },
-            if imp == Impl::StackOnly {
-                "2.40x"
-            } else {
-                "1.80x"
-            },
+            if stack { "1.55x" } else { "1.39x" },
+            if stack { "2.40x" } else { "1.80x" },
         );
     }
 
@@ -825,9 +782,12 @@ pub fn sensitivity(args: &BenchArgs) {
         for inst in &reps {
             let mut times = Vec::new();
             for depth in [4u32, 8, 12] {
-                let solver = solver_with(Impl::StackOnly, args, |b| {
-                    b.algorithm(Algorithm::StackOnly { start_depth: depth })
-                });
+                let swept = BenchArgs {
+                    start_depth: depth,
+                    ..args.clone()
+                };
+                let solver =
+                    solver_with(Algorithm::StackOnly { start_depth: depth }, &swept, |b| b);
                 let r = solver.solve_mvc(&inst.graph);
                 if !r.stats.timed_out {
                     times.push(r.stats.seconds().max(1e-4));
@@ -856,7 +816,7 @@ pub fn sensitivity(args: &BenchArgs) {
             let mut times = Vec::new();
             for cap in [1usize << 10, 1 << 12, 1 << 14] {
                 for frac in [0.25, 0.5, 0.75, 1.0] {
-                    let solver = solver_with(Impl::Hybrid, args, |b| {
+                    let solver = solver_with(Algorithm::Hybrid, args, |b| {
                         b.worklist_capacity(cap).threshold_frac(frac)
                     });
                     let r = solver.solve_mvc(&inst.graph);
@@ -882,11 +842,11 @@ pub fn sensitivity(args: &BenchArgs) {
 }
 
 fn solver_with(
-    imp: Impl,
+    algorithm: Algorithm,
     args: &BenchArgs,
     f: impl FnOnce(parvc_core::SolverBuilder) -> parvc_core::SolverBuilder,
 ) -> Solver {
-    f(runner::builder(imp, args, Some(args.deadline))).build()
+    f(runner::builder(algorithm, args, Some(args.deadline))).build()
 }
 
 /// Medium-hard instances used for sweeps (hard enough to measure,
@@ -923,7 +883,7 @@ pub fn extensions_ablation(args: &BenchArgs) {
             ("none (paper-faithful)", Extensions::NONE),
             ("+matching LB", Extensions::default()),
         ] {
-            let solver = solver_with(Impl::Hybrid, args, |b| b.extensions(ext));
+            let solver = solver_with(Algorithm::Hybrid, args, |b| b.extensions(ext));
             let r = solver.solve_mvc(&inst.graph);
             if ext == Extensions::NONE {
                 baseline_nodes = r.stats.tree_nodes.max(1);
@@ -967,7 +927,7 @@ pub fn ablation(args: &BenchArgs) {
             ("hybrid (0.75 x 16K)", 0.75, 1 << 14),
             ("always-donate (pure worklist)", 1.0, 1 << 20),
         ] {
-            let solver = solver_with(Impl::Hybrid, args, |b| {
+            let solver = solver_with(Algorithm::Hybrid, args, |b| {
                 b.worklist_capacity(cap).threshold_frac(frac)
             });
             let r = solver.solve_mvc(&inst.graph);

@@ -57,46 +57,15 @@ impl Problem {
     }
 }
 
-/// The three code versions of §V-A, plus the engine's work-stealing
-/// policy (beyond the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Impl {
-    /// Single CPU thread.
-    Sequential,
-    /// Prior work's fixed-depth sub-tree scheme.
-    StackOnly,
-    /// The paper's contribution.
-    Hybrid,
-    /// Per-block work-stealing deques.
-    WorkStealing,
-    /// Work stealing donating whole components of disconnected
-    /// residuals (implies in-search component branching). Not part of
-    /// [`Impl::ALL`] — the classic tables keep the paper's column set;
-    /// the `components` report compares it against the others.
-    ComponentSteal,
-}
-
-impl Impl {
-    /// The classic table columns: Table I's three code versions, then
-    /// the work-stealing extension.
-    pub const ALL: [Impl; 4] = [
-        Impl::Sequential,
-        Impl::StackOnly,
-        Impl::Hybrid,
-        Impl::WorkStealing,
-    ];
-
-    /// Column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Impl::Sequential => "Sequential",
-            Impl::StackOnly => "StackOnly",
-            Impl::Hybrid => "Hybrid",
-            Impl::WorkStealing => "WorkSteal",
-            Impl::ComponentSteal => "CompSteal",
-        }
-    }
-}
+/// The classic table columns: Table I's three code versions of §V-A,
+/// then the work-stealing extension. StackOnly runs at the harness's
+/// `--depth`.
+pub const COLUMNS: [Algorithm; 4] = [
+    Algorithm::Sequential,
+    Algorithm::StackOnly { start_depth: 8 },
+    Algorithm::Hybrid,
+    Algorithm::WorkStealing,
+];
 
 /// One measured cell of Table I.
 #[derive(Debug, Clone)]
@@ -111,18 +80,20 @@ pub struct Cell {
     pub device_cycles: u64,
 }
 
-/// A solver builder for one implementation under the harness settings.
-/// It pins [`Extensions::NONE`], the paper's bounds alone, so the
-/// reproduced tables and figures stay comparable with the paper.
-pub(crate) fn builder(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> SolverBuilder {
-    let algorithm = match imp {
-        Impl::Sequential => Algorithm::Sequential,
-        Impl::StackOnly => Algorithm::StackOnly {
+/// A solver builder for one policy under the harness settings, with
+/// StackOnly at `--depth`. It pins [`Extensions::NONE`], the
+/// paper's bounds alone, so the reproduced tables and figures stay
+/// comparable with the paper.
+pub(crate) fn builder(
+    algorithm: Algorithm,
+    args: &BenchArgs,
+    deadline: Option<Duration>,
+) -> SolverBuilder {
+    let algorithm = match algorithm {
+        Algorithm::StackOnly { .. } => Algorithm::StackOnly {
             start_depth: args.start_depth,
         },
-        Impl::Hybrid => Algorithm::Hybrid,
-        Impl::WorkStealing => Algorithm::WorkStealing,
-        Impl::ComponentSteal => Algorithm::ComponentSteal,
+        other => other,
     };
     Solver::builder()
         .algorithm(algorithm)
@@ -133,10 +104,10 @@ pub(crate) fn builder(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -
         .extensions(Extensions::NONE)
 }
 
-/// Builds a solver for one implementation under the harness settings,
-/// with the paper's bounds alone.
-pub fn make_solver(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> Solver {
-    builder(imp, args, deadline).build()
+/// Builds a solver for one policy under the harness settings, with
+/// the paper's bounds alone.
+pub fn make_solver(algorithm: Algorithm, args: &BenchArgs, deadline: Option<Duration>) -> Solver {
+    builder(algorithm, args, deadline).build()
 }
 
 /// Establishes `min` (the exact MVC size) for an instance, used to set
@@ -144,22 +115,22 @@ pub fn make_solver(imp: Impl, args: &BenchArgs, deadline: Option<Duration>) -> S
 /// returns `None` if even that times out — the paper's vc-exact rows,
 /// where min came from the PACE organizers instead.
 pub fn compute_min(inst: &Instance, args: &BenchArgs) -> Option<u32> {
-    let solver = make_solver(Impl::Hybrid, args, Some(args.min_budget));
+    let solver = make_solver(Algorithm::Hybrid, args, Some(args.min_budget));
     let r = solver.solve_mvc(&inst.graph);
     (!r.stats.timed_out).then_some(r.size)
 }
 
-/// Runs one (instance, problem, implementation) cell.
+/// Runs one (instance, problem, policy) cell.
 ///
 /// `min` must be `Some` for the PVC problems; MVC cells ignore it.
 pub fn run_cell(
     inst: &Instance,
     problem: Problem,
-    imp: Impl,
+    algorithm: Algorithm,
     min: Option<u32>,
     args: &BenchArgs,
 ) -> Cell {
-    let solver = make_solver(imp, args, Some(args.deadline));
+    let solver = make_solver(algorithm, args, Some(args.deadline));
     match problem.k(min.unwrap_or(0)) {
         None => cell_from_mvc(solver.solve_mvc(&inst.graph)),
         Some(k) => cell_from_pvc(solver.solve_pvc(&inst.graph, k)),
@@ -188,19 +159,20 @@ fn cell_from_pvc(r: PvcResult) -> Cell {
 pub struct InstanceRow {
     /// The instance.
     pub min: Option<u32>,
-    /// `cells[problem][impl]`, indexed by the `ALL` orders.
+    /// `cells[problem][column]`, in [`Problem::ALL`] and [`COLUMNS`]
+    /// order.
     pub cells: Vec<Vec<Cell>>,
 }
 
-/// Runs the full 4-problem × 3-implementation grid for one instance.
+/// Runs the full problem × column grid for one instance.
 pub fn run_instance(inst: &Instance, args: &BenchArgs) -> InstanceRow {
     let min = compute_min(inst, args);
     let cells = Problem::ALL
         .iter()
         .map(|&p| {
-            Impl::ALL
+            COLUMNS
                 .iter()
-                .map(|&i| {
+                .map(|&algorithm| {
                     if p != Problem::Mvc && min.is_none() {
                         // No exact min available: PVC variants are
                         // undefined — report the budget as spent.
@@ -211,7 +183,7 @@ pub fn run_instance(inst: &Instance, args: &BenchArgs) -> InstanceRow {
                             device_cycles: 0,
                         }
                     } else {
-                        run_cell(inst, p, i, min, args)
+                        run_cell(inst, p, algorithm, min, args)
                     }
                 })
                 .collect()

@@ -64,8 +64,6 @@ struct SplitJob {
     /// Components not yet solved; the block that takes this to zero
     /// combines the results.
     outstanding: AtomicUsize,
-    /// Nested-split depth available to the sub-searches.
-    max_depth: u32,
 }
 
 /// A unit of stealable work: an ordinary tree node, or one component
@@ -193,7 +191,7 @@ impl CompStealPolicy<'_> {
                     &mut self.scratch,
                     &mut self.conns,
                     counters,
-                    job.max_depth,
+                    split::MAX_DEPTH,
                 )
                 .map(|(_, cover)| cover)
             }
@@ -305,7 +303,6 @@ impl SchedulePolicy for CompStealPolicy<'_> {
             comps: split.comps,
             results: Mutex::new(vec![None; n]),
             outstanding: AtomicUsize::new(n),
-            max_depth: kernel.ext.component_branching.map_or(0, |p| p.max_depth),
         });
         for index in 0..n {
             // Donating a component costs one queue push; the node data

@@ -1,10 +1,10 @@
-//! Incremental residual connectivity — the union-find backend of
+//! Incremental residual connectivity — the connectivity check of
 //! in-search component branching (see [`crate::split`]).
 //!
-//! The BFS baseline re-derives the residual's component structure from
-//! scratch at every candidate node: `O(|V| + |E|)` per check, paid even
-//! when the check concludes "still connected" — which is the common
-//! case, and exactly the overhead arXiv 2512.18334 identifies as the
+//! A search from scratch re-derives the residual's component structure
+//! at every candidate node: `O(|V| + |E|)` per check, paid even when
+//! the check concludes "still connected" — which is the common case,
+//! and exactly the overhead arXiv 2512.18334 identifies as the
 //! difference between component-aware branching paying for itself and
 //! drowning in bookkeeping.
 //!
@@ -39,10 +39,11 @@
 //! equals the work of enumerating the new components — which the
 //! caller was about to pay for extraction anyway.
 //!
-//! Every query returns a component count and per-vertex labels
-//! identical (up to renaming) to what the from-scratch BFS reports;
-//! `tests/split_safety.rs` pins that equivalence across the generator
-//! corpus for MVC, PVC, and weighted traversals.
+//! Every query returns a component count and per-vertex labels that
+//! partition the live vertices exactly as
+//! [`parvc_graph::ops::induced_components`] does;
+//! `tests/split_safety.rs` pins that at every node of seeded
+//! traversals, cardinality and weighted, across the generator corpus.
 
 use parvc_graph::{CsrGraph, VertexId};
 use parvc_simgpu::exec::{gather_indices, ChunkSlots, ParallelExecutor};
@@ -121,8 +122,8 @@ impl Connectivity {
     /// Updates the tracker to the residual described by `live_degree`
     /// (live = degree ≥ 1 over `graph`'s vertex set) and returns
     /// `(component count, work)`, where `work` is vertex reads plus
-    /// adjacency entries traversed — the unit the BFS baseline is
-    /// measured in, so the two backends' costs compare directly.
+    /// adjacency entries traversed (the caller charges it and counts
+    /// it in `SplitCounters::check_work`).
     /// `live_degree(v)` must be the tree node's current degree of `v`;
     /// the tracker is generic over the node representation so bounded
     /// sub-searches on extracted component graphs reuse it.

@@ -330,7 +330,7 @@ pub fn drive_block(
                             &mut scratch,
                             &mut pool,
                             counters,
-                            params.max_depth,
+                            split::MAX_DEPTH,
                         );
                         if let SplitVerdict::Solved(combined) = verdict {
                             if !kernel.prune(&combined, bound.bound(), &mut scratch)

@@ -100,6 +100,6 @@ pub use progress::Heartbeat;
 pub use resolve::{ResolveSession, ResolveStats, Resolved};
 pub use scratch::BlockScratch;
 pub use solver::{Algorithm, Solver, SolverBuilder};
-pub use split::{PendingSplit, SplitBackend, SplitBound, SplitParams, SubInstance};
+pub use split::{PendingSplit, SplitParams, SubInstance};
 pub use stats::{MisResult, MvcResult, PvcResult, SolveStats};
 pub use verify::{is_independent_set, is_vertex_cover};

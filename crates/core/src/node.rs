@@ -193,10 +193,9 @@ impl TreeNode {
     /// neighbor goes through [`remove_into_cover`](Self::remove_into_cover).
     /// With rows, two passes leave the same node, and each call takes
     /// the one with the smaller count:
-    /// [`remove_neighbors_in_turn`](Self::remove_neighbors_in_turn)
-    /// decrements about `Σ d` slots over the removed vertices, and
-    /// [`remove_neighbors_as_a_set`](Self::remove_neighbors_as_a_set)
-    /// takes one popcount per mask word for each other live vertex.
+    /// `remove_neighbors_in_turn` decrements about `Σ d` slots over the
+    /// removed vertices, and `remove_neighbors_as_a_set` takes one
+    /// popcount per mask word for each other live vertex.
     pub fn remove_neighbors(&mut self, g: &CsrGraph, v: VertexId) -> u64 {
         let Some(rows) = g.adjacency_rows() else {
             let mut updates = 0;
@@ -217,20 +216,28 @@ impl TreeNode {
     /// Whether removing the live vertices of `row` as a set takes fewer
     /// popcounts than removing them in turn takes decrements: one per
     /// mask word for each live vertex outside the row, against the
-    /// summed degrees of those inside it.
+    /// summed degrees of those inside it. The sum stops as soon as it
+    /// passes the popcount count.
     pub(crate) fn set_pass_is_cheaper(&self, row: &[u64]) -> bool {
+        let inside: u32 = row
+            .iter()
+            .zip(self.live_words())
+            .map(|(&r, live)| (r & live).count_ones())
+            .sum();
+        let popcounts = u64::from(self.len - self.cover_size - inside) * row.len() as u64;
         let degrees = self.degrees();
-        let (mut inside, mut walk) = (0u32, 0u64);
+        let mut walk = 0u64;
         for (i, (&r, live)) in row.iter().zip(self.live_words()).enumerate() {
             let mut bits = r & live;
-            inside += bits.count_ones();
             while bits != 0 {
                 walk += degrees[i * 64 + bits.trailing_zeros() as usize] as u64;
+                if walk > popcounts {
+                    return true;
+                }
                 bits &= bits - 1;
             }
         }
-        let outside = u64::from(self.len - self.cover_size - inside);
-        outside * (row.len() as u64) < walk
+        false
     }
 
     /// [`remove_neighbors`](Self::remove_neighbors) one neighbor at a
@@ -586,6 +593,36 @@ mod tests {
                         assert_eq!(after.remove_into_cover(g, v), naive.len() as u32, "{ctx}");
                         after.check_consistency(g).unwrap();
                     }
+                }
+            }
+        }
+    }
+
+    /// On random partial covers of graphs with rows, the choice equals
+    /// the rule with the whole degree sum: popcounts < Σ d.
+    #[test]
+    fn set_pass_choice_matches_the_full_degree_sum() {
+        for (i, g) in testing::graphs().iter().enumerate() {
+            let Some(rows) = g.adjacency_rows() else {
+                continue;
+            };
+            for node in testing::partial_covers(g, i as u64) {
+                for v in g.vertices() {
+                    let row = rows.row(v);
+                    let inside: Vec<VertexId> = g
+                        .neighbors(v)
+                        .iter()
+                        .copied()
+                        .filter(|&u| !node.is_removed(u))
+                        .collect();
+                    let walk: u64 = inside.iter().map(|&u| node.degree(u) as u64).sum();
+                    let outside = node.len() - node.cover_size() - inside.len() as u32;
+                    let popcounts = u64::from(outside) * row.len() as u64;
+                    assert_eq!(
+                        node.set_pass_is_cheaper(row),
+                        popcounts < walk,
+                        "graph {i}, vertex {v}"
+                    );
                 }
             }
         }

@@ -39,11 +39,9 @@
 //!    otherwise the engine starts from the patched incumbent under
 //!    any policy/executor.
 //! 4. **Label reuse.** The session keeps per-vertex component labels
-//!    across calls: one full union-find build at session start, then
-//!    only the dirty region is relabeled (fresh label ids) after each
-//!    batch. [`ResolveSession::rebuild_labels_every_call`] switches to
-//!    the old checkpoint-rebuild behaviour for A/B comparison —
-//!    [`ResolveStats::uf_rebuilds`] counts full builds either way.
+//!    across calls: one full build at session start, then only the
+//!    dirty region is relabeled (fresh label ids) after each batch.
+//!    [`ResolveStats::uf_rebuilds`] counts full builds.
 //!
 //! A result produced by a timed-out solve is not exact, so nothing can
 //! be reused from it: the session falls back to a full from-scratch
@@ -102,10 +100,9 @@ pub struct ResolveStats {
     /// Calls where warm UB == warm LB *before* searching, skipping the
     /// engine entirely.
     pub warm_skips: u32,
-    /// Cumulative full union-find label builds over the session's
-    /// lifetime (1 after construction; label reuse keeps it there,
-    /// [`ResolveSession::rebuild_labels_every_call`] grows it by one
-    /// per call).
+    /// Cumulative full component-label builds over the session's
+    /// lifetime: 1 after construction, and one more per call that
+    /// re-solves from scratch after a timed-out result.
     pub uf_rebuilds: u64,
     /// Tree nodes the dirty-region re-solve visited (0 on reuse-only
     /// calls) — the work a from-scratch solve would have multiplied.
@@ -130,8 +127,10 @@ pub struct Resolved {
 /// current optimal cover, and per-vertex component labels reused call
 /// to call. Create one with [`Solver::resolve_session`] (or use the
 /// one-shot [`Solver::resolve`]) and feed it successive edit batches.
-pub struct ResolveSession<'s> {
-    solver: &'s Solver,
+/// The session holds its own view of the solver, sharing the built
+/// executor, so it may outlive the `Solver` it was opened from.
+pub struct ResolveSession {
+    solver: Solver,
     graph: CsrGraph,
     cover: Vec<VertexId>,
     /// Component label per vertex. Labels are never recycled within a
@@ -141,7 +140,6 @@ pub struct ResolveSession<'s> {
     comp_count: u32,
     next_label: u32,
     uf_rebuilds: u64,
-    reuse_labels: bool,
     /// Whether `cover` is a known optimum (false after a timeout —
     /// then nothing is reusable and the next call re-solves fully).
     exact: bool,
@@ -168,39 +166,30 @@ impl Solver {
     /// Starts an incremental re-solve session from a solved instance.
     /// Performs the session's one full component labeling (counted in
     /// [`ResolveStats::uf_rebuilds`]).
-    pub fn resolve_session<'s>(&'s self, g: &CsrGraph, prev: &MvcResult) -> ResolveSession<'s> {
+    pub fn resolve_session(&self, g: &CsrGraph, prev: &MvcResult) -> ResolveSession {
         ResolveSession::from_solved(self, g, prev)
     }
 }
 
-impl<'s> ResolveSession<'s> {
+impl ResolveSession {
     /// See [`Solver::resolve_session`].
-    pub fn from_solved(solver: &'s Solver, g: &CsrGraph, prev: &MvcResult) -> Self {
+    pub fn from_solved(solver: &Solver, g: &CsrGraph, prev: &MvcResult) -> Self {
         debug_assert!(
             crate::verify::is_vertex_cover(g, &prev.cover),
             "previous result must carry a valid cover of the session graph"
         );
         let (label, comp_count) = connected_components(g);
         ResolveSession {
-            solver,
+            // An owned copy of the configuration on the same executor.
+            solver: solver.with_deadline(solver.cfg.deadline),
             graph: g.clone(),
             cover: prev.cover.clone(),
             label,
             comp_count,
             next_label: comp_count,
             uf_rebuilds: 1,
-            reuse_labels: true,
             exact: !prev.stats.timed_out,
         }
-    }
-
-    /// Switches to the pre-session behaviour for A/B comparison:
-    /// recompute every vertex's component label from scratch on every
-    /// call instead of relabeling only the dirty region.
-    /// [`ResolveStats::uf_rebuilds`] then grows by one per call.
-    pub fn rebuild_labels_every_call(mut self) -> Self {
-        self.reuse_labels = false;
-        self
     }
 
     /// The session's current graph (after all batches so far).
@@ -443,19 +432,9 @@ impl<'s> ResolveSession<'s> {
         (0..n as u32).filter(|&v| in_cover[v as usize]).collect()
     }
 
-    /// Refreshes component labels after a batch. Reuse mode relabels
-    /// only the dirty sub-instance's vertices with fresh label ids;
-    /// baseline mode recomputes all labels (one more full union-find
-    /// build).
+    /// Refreshes component labels after a batch: relabels only the
+    /// dirty sub-instance's vertices, with fresh label ids.
     fn relabel(&mut self, edited: &CsrGraph, keep: &[VertexId], dirtied: u32) {
-        if !self.reuse_labels {
-            let (label, count) = connected_components(edited);
-            self.label = label;
-            self.comp_count = count;
-            self.next_label = count;
-            self.uf_rebuilds += 1;
-            return;
-        }
         if keep.is_empty() {
             return;
         }
@@ -549,22 +528,7 @@ mod tests {
             assert_eq!(r.result.size, scratch.size, "round {round}");
             assert!(is_vertex_cover(&r.graph, &r.result.cover));
         }
-        assert_eq!(session.uf_rebuilds, 1, "reuse mode never rebuilds");
-    }
-
-    #[test]
-    fn baseline_mode_rebuilds_every_call() {
-        let g = gen::gnp(20, 0.2, 2);
-        let solver = seq();
-        let prev = solver.solve_mvc(&g);
-        let mut session = solver
-            .resolve_session(&g, &prev)
-            .rebuild_labels_every_call();
-        for round in 0..3u64 {
-            let edits = gen::edit_script(session.graph(), 5, 0.5, round + 50);
-            session.resolve(&edits).unwrap();
-        }
-        assert_eq!(session.uf_rebuilds, 4, "1 initial + 1 per call");
+        assert_eq!(session.uf_rebuilds, 1, "label reuse never rebuilds");
     }
 
     #[test]

@@ -86,21 +86,48 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Parses a `--policy` name: `seq`, `stack`, `hybrid`, `steal`,
-    /// `batch` or `compsteal`, or one of their long forms. `stack`
-    /// starts at depth 8.
+    /// Every policy by its short `--policy` name, in report order.
+    /// `stack` starts at depth 8.
+    pub const NAMES: [(&'static str, Algorithm); 6] = [
+        ("seq", Algorithm::Sequential),
+        ("stack", Algorithm::StackOnly { start_depth: 8 }),
+        ("hybrid", Algorithm::Hybrid),
+        ("steal", Algorithm::WorkStealing),
+        ("batch", Algorithm::Batched),
+        ("compsteal", Algorithm::ComponentSteal),
+    ];
+
+    /// Parses a `--policy` name: a short name of [`NAMES`](Self::NAMES)
+    /// or one of the long forms `sequential`, `stackonly`, `worksteal`,
+    /// `workstealing`, `batched` and `componentsteal`.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "hybrid" => Ok(Algorithm::Hybrid),
-            "seq" | "sequential" => Ok(Algorithm::Sequential),
-            "stack" | "stackonly" => Ok(Algorithm::StackOnly { start_depth: 8 }),
-            "steal" | "worksteal" | "workstealing" => Ok(Algorithm::WorkStealing),
-            "batch" | "batched" => Ok(Algorithm::Batched),
-            "compsteal" | "componentsteal" => Ok(Algorithm::ComponentSteal),
-            _ => Err(format!(
-                "unknown policy '{s}' (seq|stack|hybrid|steal|batch|compsteal)"
-            )),
-        }
+        let short = match s {
+            "sequential" => "seq",
+            "stackonly" => "stack",
+            "worksteal" | "workstealing" => "steal",
+            "batched" => "batch",
+            "componentsteal" => "compsteal",
+            _ => s,
+        };
+        Self::NAMES
+            .iter()
+            .find(|(name, _)| *name == short)
+            .map(|&(_, algorithm)| algorithm)
+            .ok_or_else(|| {
+                let names = Self::NAMES.map(|(name, _)| name).join("|");
+                format!("unknown policy '{s}' ({names})")
+            })
+    }
+
+    /// This policy's short name in [`NAMES`](Self::NAMES), whatever
+    /// StackOnly's start depth.
+    pub fn name(self) -> &'static str {
+        let variant = std::mem::discriminant(&self);
+        Self::NAMES
+            .iter()
+            .find(|(_, a)| std::mem::discriminant(a) == variant)
+            .expect("every policy is named")
+            .0
     }
 }
 
@@ -154,7 +181,7 @@ pub struct SolverBuilder {
     force_variant: Option<KernelVariant>,
     force_block_size: Option<u32>,
     grid_limit: Option<u32>,
-    deadline: Option<std::time::Duration>,
+    pub(crate) deadline: Option<std::time::Duration>,
     ext: Extensions,
     record_trace: bool,
     prep: Option<PrepConfig>,
@@ -1107,6 +1134,10 @@ mod tests {
             Algorithm::parse("Hybrid"),
             Err("unknown policy 'Hybrid' (seq|stack|hybrid|steal|batch|compsteal)".to_string())
         );
+        for (name, algorithm) in Algorithm::NAMES {
+            assert_eq!(algorithm.name(), name);
+        }
+        assert_eq!(Algorithm::StackOnly { start_depth: 4 }.name(), "stack");
     }
 
     #[test]

@@ -16,15 +16,17 @@
 //!
 //! 1. After a node's reduction fixpoint (and the bound check), the
 //!    engine asks `detect_components` whether the residual graph has
-//!    disconnected. The check is skipped while fewer than
-//!    [`SplitParams::min_live`] live vertices remain — tiny residuals
-//!    finish faster than they split — and is charged to
+//!    disconnected; the incremental union-find tracker
+//!    ([`crate::connect`]) answers. The check is skipped while fewer
+//!    than [`SplitParams::min_live`] live vertices remain — tiny
+//!    residuals finish faster than they split — and is charged to
 //!    [`Activity::ComponentSplit`].
 //! 2. If ≥ 2 non-trivial components exist, each is extracted as a
-//!    standalone relabeled [`SubInstance`] (the same
-//!    `ops::induced_subgraph` relabeling machinery `parvc-prep` uses),
-//!    with a greedy upper bound and a maximal-matching lower bound
-//!    computed per component.
+//!    standalone relabeled [`SubInstance`] (by
+//!    `ops::induced_components`, the one-pass extraction `parvc-prep`
+//!    splits its kernel with), with a greedy upper bound and a lower
+//!    bound computed per component: the LP relaxation in cardinality
+//!    searches, the weight-sound bound in weighted ones.
 //! 3. The node becomes a [`PendingSplit`] and is offered to the
 //!    scheduling policy
 //!    ([`SchedulePolicy::adopt_split`](crate::SchedulePolicy::adopt_split)).
@@ -43,11 +45,10 @@
 //!    flows through the normal `on_solution` machinery.
 //!
 //! Sub-searches run the same reduce/prune/branch step as the engine
-//! and re-check connectivity recursively (bounded by
-//! [`SplitParams::max_depth`]), so deeply nested disconnections keep
-//! decomposing.
+//! and re-check connectivity recursively (at most `MAX_DEPTH` = 32
+//! levels deep), so deeply nested disconnections keep decomposing.
 
-use parvc_graph::{matching, ops, CsrGraph, VertexId};
+use parvc_graph::{ops, CsrGraph, VertexId};
 use parvc_obs::SpanTimer;
 use parvc_simgpu::counters::{Activity, BlockCounters};
 
@@ -58,75 +59,25 @@ use crate::ops::Kernel;
 use crate::scratch::BlockScratch;
 use crate::TreeNode;
 
-/// Which connectivity backend decides whether a residual disconnected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitBackend {
-    /// The incremental union-find tracker ([`crate::connect`]):
-    /// localized re-scans of the deleted vertices' neighborhoods,
-    /// with a full rebuild only when the traversal jumps to an
-    /// unrelated node. The default.
-    #[default]
-    UnionFind,
-    /// A from-scratch BFS over the live residual at every check — the
-    /// PR 3 baseline, kept as the reference the union-find backend is
-    /// property-tested and cost-compared against.
-    Bfs,
-}
-
-/// Which lower bound budgets the per-component sub-searches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitBound {
-    /// The LP / Nemhauser–Trotter relaxation
-    /// ([`parvc_prep::lp_lower_bound`]): dominates the matching bound
-    /// on every graph, so sibling budgets are at least as tight and
-    /// budgeted sub-searches prune at least as early. The default.
-    /// Weighted traversals use [`parvc_prep::weighted_lower_bound`] —
-    /// the better of the min-weight matching bound and the primal-dual
-    /// LP dual (the unweighted LP says nothing about cover *weight*).
-    #[default]
-    Lp,
-    /// A greedy maximal matching (min-weight endpoint sum in weighted
-    /// searches) — the PR 3 baseline.
-    Matching,
-}
-
-/// Tuning knobs for in-search component branching.
+/// Tuning knob for in-search component branching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitParams {
     /// Skip the connectivity check while fewer than this many live
     /// (degree ≥ 1) vertices remain: tiny residuals are solved faster
     /// than they are split.
     pub min_live: u32,
-    /// Maximum nesting depth of splits inside component sub-searches
-    /// (a backstop against pathological recursion on chain-like
-    /// graphs; each level strictly shrinks the graph).
-    pub max_depth: u32,
-    /// Connectivity backend (default: incremental union-find).
-    pub backend: SplitBackend,
-    /// Per-component lower bound for sibling budgets (default: LP).
-    pub bound: SplitBound,
 }
 
 impl Default for SplitParams {
     fn default() -> Self {
-        SplitParams {
-            min_live: 8,
-            max_depth: 32,
-            backend: SplitBackend::default(),
-            bound: SplitBound::default(),
-        }
+        SplitParams { min_live: 8 }
     }
 }
 
-impl SplitParams {
-    /// Default parameters with a custom check trigger.
-    pub fn with_min_live(min_live: u32) -> Self {
-        SplitParams {
-            min_live,
-            ..SplitParams::default()
-        }
-    }
-}
+/// Maximum nesting depth of splits inside component sub-searches (a
+/// backstop against pathological recursion on chain-like graphs; each
+/// level strictly shrinks the graph).
+pub(crate) const MAX_DEPTH: u32 = 32;
 
 /// One connected component of a disconnected residual, extracted as a
 /// standalone instance (vertices relabeled to `0..n`).
@@ -148,8 +99,8 @@ pub struct SubInstance {
     /// bound and its fallback witness. `(cost, witness)` in the
     /// search's units.
     pub greedy: (u64, Vec<VertexId>),
-    /// Lower bound on the component's optimum — [`SplitBound`]'s
-    /// choice in cardinality searches,
+    /// Lower bound on the component's optimum —
+    /// [`parvc_prep::lp_lower_bound`] in cardinality searches,
     /// [`parvc_prep::weighted_lower_bound`] (matching ∨ primal-dual
     /// dual) in weighted ones; the sibling budgets are derived from
     /// these.
@@ -191,40 +142,24 @@ fn trigger(node: &TreeNode, params: SplitParams) -> bool {
     live_count >= params.min_live
 }
 
-/// Component labels of `node`'s residual, from the configured backend.
-/// `labels[v] == u32::MAX` marks a dead vertex. Records the check and
-/// its work in `counters.splits` and charges the cooperative-scan
-/// cycles. `count` may come back without full labels on the BFS fast
-/// path (first component covers everything ⇒ `count == 1`).
-fn component_labels(
+/// The number of components of `node`'s residual, from the caller's
+/// union-find tracker. Records the check and its work in
+/// `counters.splits` and charges the cooperative-scan cycles.
+fn component_count(
     kernel: &Kernel<'_>,
     node: &TreeNode,
-    params: SplitParams,
     conn: &mut Connectivity,
     counters: &mut BlockCounters,
-) -> (u32, Vec<u32>) {
+) -> u32 {
     counters.splits.checks += 1;
     kernel.sink.counter("split.checks", 1);
     let t_detect = SpanTimer::start(kernel.sink);
-    let (count, labels, work) = match params.backend {
-        SplitBackend::UnionFind => {
-            let (count, work) = conn.update(kernel.graph, |v| node.degree(v), kernel.exec);
-            let rebuilds = conn.take_rebuilds();
-            counters.splits.uf_rebuilds += rebuilds;
-            if rebuilds > 0 && kernel.sink.enabled() {
-                parvc_simgpu::obs::rebuild_instant(kernel.sink, kernel.track, rebuilds);
-            }
-            let labels = if count >= 2 {
-                (0..node.len())
-                    .map(|v| conn.label(v).unwrap_or(u32::MAX))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            (count, labels, work)
-        }
-        SplitBackend::Bfs => bfs_labels(kernel, node),
-    };
+    let (count, work) = conn.update(kernel.graph, |v| node.degree(v), kernel.exec);
+    let rebuilds = conn.take_rebuilds();
+    counters.splits.uf_rebuilds += rebuilds;
+    if rebuilds > 0 && kernel.sink.enabled() {
+        parvc_simgpu::obs::rebuild_instant(kernel.sink, kernel.track, rebuilds);
+    }
     counters.splits.check_work += work;
     counters.charge(
         Activity::ComponentSplit,
@@ -233,44 +168,7 @@ fn component_labels(
             .parallel_op(work, kernel.block_size, kernel.variant),
     );
     t_detect.finish(kernel.sink, "split", "detect", kernel.track, count as u64);
-    (count, labels)
-}
-
-/// The from-scratch BFS baseline: one pass over the degree array plus
-/// a BFS touching every live adjacency once, early-exiting when the
-/// first component already covers every live vertex. Returns
-/// `(count, labels, work)`.
-fn bfs_labels(kernel: &Kernel<'_>, node: &TreeNode) -> (u32, Vec<u32>, u64) {
-    let live: Vec<VertexId> = (0..node.len()).filter(|&v| node.degree(v) > 0).collect();
-    let mut work = node.len() as u64;
-    let mut comp = vec![u32::MAX; node.len() as usize];
-    let mut count = 0u32;
-    let mut queue: Vec<VertexId> = Vec::new();
-    for &start in &live {
-        if comp[start as usize] != u32::MAX {
-            continue;
-        }
-        comp[start as usize] = count;
-        queue.push(start);
-        let mut visited = 1usize;
-        while let Some(v) = queue.pop() {
-            work += kernel.graph.neighbors(v).len() as u64;
-            for &w in kernel.graph.neighbors(v) {
-                if node.degree(w) > 0 && comp[w as usize] == u32::MAX {
-                    comp[w as usize] = count;
-                    visited += 1;
-                    queue.push(w);
-                }
-            }
-        }
-        // Fast path: the first BFS reached every live vertex — the
-        // residual is still connected, nothing to split.
-        if count == 0 && visited == live.len() {
-            return (1, comp, work);
-        }
-        count += 1;
-    }
-    (count, comp, work)
+    count
 }
 
 /// Whether `node`'s residual graph has disconnected — the cheap probe
@@ -285,24 +183,18 @@ pub(crate) fn residual_disconnected(
     conn: &mut Connectivity,
     counters: &mut BlockCounters,
 ) -> bool {
-    if !trigger(node, params) {
-        return false;
-    }
-    let (count, _) = component_labels(kernel, node, params, conn, counters);
-    count >= 2
+    trigger(node, params) && component_count(kernel, node, conn, counters) >= 2
 }
 
 /// Checks whether `node`'s residual graph (live vertices with degree
 /// ≥ 1) is disconnected and, when it is, extracts the components.
 ///
-/// `conn` is the caller's incremental connectivity tracker (used by
-/// the [`SplitBackend::UnionFind`] backend; the BFS baseline ignores
-/// it). Returns `None` when the trigger does not fire, the residual is
-/// connected, or fewer than two non-trivial components remain.
+/// `conn` is the caller's incremental connectivity tracker. Returns
+/// `None` when the trigger does not fire, the residual is connected,
+/// or fewer than two non-trivial components remain.
 ///
-/// Public so policy authors and the backend-agreement property tests
-/// can drive the split machinery directly; the engine calls it for
-/// every policy from `drive_block`.
+/// Public so policy authors can drive the split machinery directly;
+/// the engine calls it for every policy from `drive_block`.
 pub fn detect_components(
     kernel: &Kernel<'_>,
     node: &TreeNode,
@@ -311,55 +203,35 @@ pub fn detect_components(
     counters: &mut BlockCounters,
     weighted: bool,
 ) -> Option<Vec<SubInstance>> {
-    if !trigger(node, params) {
+    if !trigger(node, params) || component_count(kernel, node, conn, counters) < 2 {
         return None;
     }
-    let (count, labels) = component_labels(kernel, node, params, conn, counters);
-    if count < 2 {
-        return None;
-    }
-    // Group members by label, components ordered by their smallest
-    // vertex id and members ascending — the same canonical order under
-    // either backend (pinned by the backend-agreement property test).
+    // Components ordered by their smallest vertex id, members
+    // ascending: `induced_components` of the ascending live vertices.
     let t_extract = SpanTimer::start(kernel.sink);
-    let mut groups: Vec<(u32, Vec<VertexId>)> = Vec::new();
-    for v in 0..node.len() {
-        let l = labels[v as usize];
-        if l == u32::MAX {
-            continue;
-        }
-        match groups.iter_mut().find(|(x, _)| *x == l) {
-            Some((_, m)) => m.push(v),
-            None => groups.push((l, vec![v])),
-        }
-    }
-    let live_total: u64 = groups.iter().map(|(_, m)| m.len() as u64).sum();
-    let comps: Vec<SubInstance> = groups
+    let live: Vec<VertexId> = (0..node.len()).filter(|&v| node.degree(v) > 0).collect();
+    let comps: Vec<SubInstance> = ops::induced_components(kernel.graph, &live)
         .into_iter()
-        .map(|(_, m)| m)
-        .filter(|m| m.len() > 1)
-        .map(|m| {
-            let (graph, _) = ops::induced_subgraph(kernel.graph, &m);
+        .map(|(graph, old_ids)| {
             let (greedy, lower_bound) = if weighted {
                 // The unweighted LP certifies nothing about cover
-                // weight; the weight-sound budget under either
-                // `SplitBound` is the better of the min-weight
-                // matching bound and the primal-dual LP dual.
+                // weight; the weight-sound budget is the better of the
+                // min-weight matching bound and the primal-dual LP
+                // dual.
                 (
                     greedy_weighted_mvc(&graph),
                     parvc_prep::weighted_lower_bound(&graph),
                 )
             } else {
                 let (size, cover) = greedy_mvc(&graph);
-                let lb = match params.bound {
-                    SplitBound::Lp => parvc_prep::lp_lower_bound_exec(&graph, kernel.exec),
-                    SplitBound::Matching => matching::greedy_maximal_matching(&graph).len() as u64,
-                };
-                ((size as u64, cover), lb)
+                (
+                    (size as u64, cover),
+                    parvc_prep::lp_lower_bound_exec(&graph, kernel.exec),
+                )
             };
             SubInstance {
                 graph,
-                old_ids: m,
+                old_ids,
                 greedy,
                 lower_bound,
             }
@@ -380,7 +252,7 @@ pub fn detect_components(
     counters.charge(
         Activity::ComponentSplit,
         kernel.cost.parallel_op(
-            2 * node.num_edges() + live_total,
+            2 * node.num_edges() + live.len() as u64,
             kernel.block_size,
             kernel.variant,
         ),
@@ -627,7 +499,7 @@ mod tests {
             block_size: 32,
             variant: KernelVariant::SharedMem,
             ext: Extensions {
-                component_branching: Some(SplitParams::with_min_live(4)),
+                component_branching: Some(SplitParams { min_live: 4 }),
                 ..Extensions::NONE
             },
             ..Kernel::sequential(g, cost)
@@ -645,7 +517,7 @@ mod tests {
         let comps = detect_components(
             &k,
             &node,
-            SplitParams::with_min_live(4),
+            SplitParams { min_live: 4 },
             &mut Connectivity::new(),
             &mut c,
             false,
@@ -672,7 +544,7 @@ mod tests {
         assert!(detect_components(
             &k,
             &node,
-            SplitParams::with_min_live(4),
+            SplitParams { min_live: 4 },
             &mut Connectivity::new(),
             &mut c,
             false
@@ -683,7 +555,7 @@ mod tests {
             detect_components(
                 &k,
                 &node,
-                SplitParams::with_min_live(9),
+                SplitParams { min_live: 9 },
                 &mut Connectivity::new(),
                 &mut c,
                 false
@@ -706,7 +578,7 @@ mod tests {
         let comps = detect_components(
             &k,
             &node,
-            SplitParams::with_min_live(4),
+            SplitParams { min_live: 4 },
             &mut Connectivity::new(),
             &mut c,
             false,
@@ -742,7 +614,7 @@ mod tests {
         let comps = detect_components(
             &k,
             &node,
-            SplitParams::with_min_live(4),
+            SplitParams { min_live: 4 },
             &mut Connectivity::new(),
             &mut c,
             false,
@@ -875,7 +747,7 @@ mod tests {
         let comps = detect_components(
             &k,
             &node,
-            SplitParams::with_min_live(4),
+            SplitParams { min_live: 4 },
             &mut Connectivity::new(),
             &mut c,
             true,
@@ -949,7 +821,7 @@ mod tests {
         let comps = detect_components(
             &k,
             &node,
-            SplitParams::with_min_live(4),
+            SplitParams { min_live: 4 },
             &mut Connectivity::new(),
             &mut c,
             true,

@@ -70,7 +70,7 @@ use parvc_graph::{matching, CsrGraph};
 /// implicit-double-cover Hopcroft–Karp in [`par`] — but exposed as a
 /// standalone bound for callers that need a tighter lower bound than a
 /// maximal matching: the in-search component branching of `parvc-core`
-/// uses it to budget sibling sub-searches (`SplitBound::Lp`).
+/// uses it to budget cardinality sibling sub-searches.
 /// [`lp_lower_bound_exec`] is the same bound with the layer passes on
 /// an executor.
 ///
@@ -104,8 +104,7 @@ pub fn lp_lower_bound(g: &CsrGraph) -> u64 {
 /// edges outside the matching can still raise duals (e.g. paths with a
 /// heavy middle); taking the max keeps the bound no worse than the old
 /// matching-only budget on every instance. The in-search component
-/// branching budgets weighted sibling sub-searches with this bound
-/// under either `SplitBound`.
+/// branching budgets weighted sibling sub-searches with this bound.
 ///
 /// ```
 /// use parvc_graph::{matching, CsrGraph};

@@ -91,37 +91,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// A [`ResolveSession`] that owns (via `Arc`) the solver it borrows,
-/// so the registry can hold sessions for as long as instances live.
+/// An instance's [`ResolveSession`] and the objective it re-solves.
 struct OwnedSession {
-    /// SAFETY invariant: `session` borrows the `Solver` behind
-    /// `solver`'s heap allocation. The `Arc` keeps that allocation
-    /// alive and at a stable address for this struct's whole life,
-    /// and field order drops `session` before `solver`, so the
-    /// erased borrow never dangles. The solver itself is never
-    /// mutated (sessions take `&Solver`).
-    session: ResolveSession<'static>,
-    /// Never read — held purely to keep the solver allocation alive
-    /// for the session's erased borrow.
-    #[allow(dead_code)]
-    solver: Arc<Solver>,
+    session: ResolveSession,
     weighted: bool,
-}
-
-impl OwnedSession {
-    fn new(solver: Arc<Solver>, weighted: bool, g: &CsrGraph, prev: &MvcResult) -> Self {
-        let solver_ref: &Solver = &solver;
-        // SAFETY: see the field invariant above — the referent lives
-        // behind the Arc held by this same struct and outlives the
-        // session by drop order.
-        let solver_static: &'static Solver = unsafe { std::mem::transmute(solver_ref) };
-        let session = ResolveSession::from_solved(solver_static, g, prev);
-        OwnedSession {
-            session,
-            solver,
-            weighted,
-        }
-    }
 }
 
 /// A registry entry: the instance behind its lock, which a SOLVE or
@@ -194,7 +167,7 @@ struct RequestCounts {
 pub struct Server {
     cfg: ServeConfig,
     /// Exact solvers: cardinality, then weighted.
-    solvers: [Arc<Solver>; 2],
+    solvers: [Solver; 2],
     registry: Mutex<BTreeMap<String, Arc<Entry>>>,
     cache: Mutex<ResultCache>,
     /// Solver counters merged across every request's telemetry
@@ -219,7 +192,7 @@ impl Server {
     /// Builds a server from `cfg`, loading the persisted cache if one
     /// is configured.
     pub fn new(cfg: ServeConfig) -> Self {
-        let build = |weighted: bool| -> Arc<Solver> {
+        let build = |weighted: bool| -> Solver {
             let mut b = Solver::builder()
                 .algorithm(cfg.algorithm)
                 .executor(cfg.executor)
@@ -241,7 +214,7 @@ impl Server {
             if weighted {
                 b = b.weighted();
             }
-            Arc::new(b.build())
+            b.build()
         };
         let cache = match &cfg.cache_path {
             Some(path) => ResultCache::persisted(cfg.cache_capacity, path),
@@ -371,7 +344,7 @@ impl Server {
         }
     }
 
-    fn solver(&self, weighted: bool) -> &Arc<Solver> {
+    fn solver(&self, weighted: bool) -> &Solver {
         &self.solvers[usize::from(weighted)]
     }
 
@@ -626,8 +599,12 @@ impl Server {
                     r
                 }
             };
-            let solver = Arc::clone(self.solver(weighted));
-            inst.session = Some(OwnedSession::new(solver, weighted, &inst.graph, &baseline));
+            inst.session = Some(OwnedSession {
+                session: self
+                    .solver(weighted)
+                    .resolve_session(&inst.graph, &baseline),
+                weighted,
+            });
             entry.publish(&inst);
         }
 

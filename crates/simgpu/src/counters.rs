@@ -138,16 +138,13 @@ pub struct SplitCounters {
     pub taken: u64,
     /// Total components produced across all splits taken.
     pub components: u64,
-    /// Units of work the connectivity backend performed across all
-    /// checks: vertex-array reads plus adjacency entries traversed.
-    /// Directly comparable between the BFS baseline and the
-    /// incremental union-find backend — the `components` bench's
-    /// split-cost column.
+    /// Units of work the union-find connectivity tracker performed
+    /// across all checks: vertex-array reads plus adjacency entries
+    /// traversed — the `components` bench's split-cost column.
     pub check_work: u64,
-    /// Full label rebuilds the union-find backend performed (the
+    /// Full label rebuilds the union-find tracker performed (the
     /// dirty-region fallback when a stack pop / steal jumps to a node
-    /// that is not a descendant of the last-checked one). Zero for the
-    /// BFS baseline, which rebuilds implicitly on every check.
+    /// that is not a descendant of the last-checked one).
     pub uf_rebuilds: u64,
     /// Component-size histogram, bucketed by `log2(|V|)`:
     /// `1, 2–3, 4–7, …, 128+` vertices.

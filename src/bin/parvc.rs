@@ -121,6 +121,10 @@ struct CmdHelp {
     example: &'static str,
 }
 
+/// The `--policy` flag of `solve`, `resolve` and `serve`: the names
+/// of `Algorithm::NAMES`, in its order (pinned by a unit test).
+const POLICY_FLAG: &str = "--policy <seq|stack|hybrid|steal|batch|compsteal>";
+
 const COMMANDS: &[CmdHelp] = &[
     CmdHelp {
         name: "solve",
@@ -131,7 +135,7 @@ const COMMANDS: &[CmdHelp] = &[
                   maximal-matching lower bound.",
         flags: &[
             FlagHelp {
-                flag: "--policy <seq|stack|hybrid|steal|batch|compsteal>",
+                flag: POLICY_FLAG,
                 desc: "Scheduling policy driving the branch-and-reduce engine \
                        (default hybrid; --algorithm is an alias). `batch` \
                        donates sub-trees to the worklist in amortized batches; \
@@ -240,7 +244,7 @@ const COMMANDS: &[CmdHelp] = &[
                        with seed 7.",
             },
             FlagHelp {
-                flag: "--policy <seq|stack|hybrid|steal|batch|compsteal>",
+                flag: POLICY_FLAG,
                 desc: "Scheduling policy for the dirty-region re-solve (default \
                        hybrid) — any policy works; the reuse logic is \
                        policy-independent.",
@@ -368,7 +372,7 @@ const COMMANDS: &[CmdHelp] = &[
                        restarted server answers yesterday's traffic from disk.",
             },
             FlagHelp {
-                flag: "--policy <seq|stack|hybrid|steal|batch|compsteal>",
+                flag: POLICY_FLAG,
                 desc: "Scheduling policy for exact solves (default hybrid; \
                        see `parvc solve --policy`).",
             },
@@ -788,7 +792,7 @@ fn cmd_solve(args: &[String]) {
             v.parse().ok()
         })
     {
-        builder = builder.component_branching_params(SplitParams::with_min_live(min_live));
+        builder = builder.component_branching_params(SplitParams { min_live });
     } else if flags.switches.contains("component-branching") {
         builder = builder.component_branching_params(SplitParams::default());
     }
@@ -1566,6 +1570,13 @@ mod tests {
             "docs/cli.md is stale — regenerate with \
              `cargo run --release --bin parvc -- help --markdown > docs/cli.md`"
         );
+    }
+
+    /// The `--policy` reference lists exactly the policy table's names.
+    #[test]
+    fn policy_flag_lists_the_policy_table() {
+        let names = Algorithm::NAMES.map(|(name, _)| name).join("|");
+        assert_eq!(POLICY_FLAG, format!("--policy <{names}>"));
     }
 
     /// Every documented subcommand exists and every subcommand is

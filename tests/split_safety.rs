@@ -1,20 +1,24 @@
 //! Safety of in-search component branching (`parvc_core::split`):
 //! split-on and split-off must agree with the brute-force oracle under
 //! every scheduling policy, for MVC and PVC, across the generator
-//! corpus — plus a regression on a graph engineered to disconnect only
-//! at branching depth ≥ 2 (where only the *in-search* split, not
-//! `parvc-prep`'s up-front decomposition, can catch it).
+//! corpus, and the union-find connectivity tracker must report the
+//! components `ops::induced_components` finds — plus a regression on a
+//! graph engineered to disconnect only at branching depth ≥ 2 (where
+//! only the *in-search* split, not `parvc-prep`'s up-front
+//! decomposition, can catch it).
 
 use parvc::core::bound::SearchBound;
 use parvc::core::brute::{brute_force_mvc, weighted_brute_force};
 use parvc::core::greedy::greedy_mvc;
 use parvc::core::ops::Kernel;
-use parvc::core::split::{SplitBackend, SplitBound, SplitParams};
-use parvc::core::{is_vertex_cover, Algorithm, Solver, TreeNode};
+use parvc::core::split::SplitParams;
+use parvc::core::{is_vertex_cover, Algorithm, BlockScratch, Connectivity, Solver, TreeNode};
 use parvc::graph::{gen, ops, CsrGraph};
 use parvc::simgpu::counters::{Activity, BlockCounters};
 use parvc::simgpu::{CostModel, KernelVariant};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Every policy, with an aggressive split trigger so small residuals
 /// still exercise the machinery.
@@ -32,11 +36,7 @@ fn policies() -> Vec<(&'static str, Algorithm)> {
 fn solver(algorithm: Algorithm, split: bool) -> Solver {
     let mut b = Solver::builder().algorithm(algorithm).grid_limit(Some(6));
     if split {
-        b = b.component_branching_params(SplitParams {
-            min_live: 4,
-            max_depth: 16,
-            ..SplitParams::default()
-        });
+        b = b.component_branching_params(SplitParams { min_live: 4 });
     }
     b.build()
 }
@@ -101,11 +101,7 @@ proptest! {
                     .grid_limit(Some(6))
                     .weighted();
                 if split {
-                    b = b.component_branching_params(SplitParams {
-                        min_live: 4,
-                        max_depth: 16,
-                        ..SplitParams::default()
-                    });
+                    b = b.component_branching_params(SplitParams { min_live: 4 });
                 }
                 let r = b.build().solve_mvc(&g);
                 prop_assert_eq!(
@@ -186,12 +182,7 @@ fn disconnection_at_depth_two_is_caught_by_in_search_split() {
     let bound = SearchBound::Mvc { best };
     let mut c = BlockCounters::new(0);
     let mut root = TreeNode::root(&g);
-    kernel.reduce(
-        &mut root,
-        bound,
-        &mut parvc::core::BlockScratch::new(),
-        &mut c,
-    );
+    kernel.reduce(&mut root, bound, &mut BlockScratch::new(), &mut c);
     assert!(
         residual_connected(&g, &root),
         "root must stay connected after reduction"
@@ -199,20 +190,10 @@ fn disconnection_at_depth_two_is_caught_by_in_search_split() {
     let vmax = kernel.find_max_degree(&root, &mut c).unwrap();
     let mut left = root.clone();
     kernel.remove_neighbors(&mut left, vmax, Activity::RemoveNeighbors, &mut c);
-    kernel.reduce(
-        &mut left,
-        bound,
-        &mut parvc::core::BlockScratch::new(),
-        &mut c,
-    );
+    kernel.reduce(&mut left, bound, &mut BlockScratch::new(), &mut c);
     let mut right = root.clone();
     kernel.remove_vertex(&mut right, vmax, Activity::RemoveMaxVertex, &mut c);
-    kernel.reduce(
-        &mut right,
-        bound,
-        &mut parvc::core::BlockScratch::new(),
-        &mut c,
-    );
+    kernel.reduce(&mut right, bound, &mut BlockScratch::new(), &mut c);
     for (label, child) in [("remove-N(vmax)", &left), ("remove-vmax", &right)] {
         assert!(
             child.is_edgeless() || residual_connected(&g, child),
@@ -268,11 +249,7 @@ fn weighted_split_regression_where_the_optima_differ() {
                 .grid_limit(Some(6))
                 .weighted();
             if split {
-                b = b.component_branching_params(SplitParams {
-                    min_live: 4,
-                    max_depth: 16,
-                    ..SplitParams::default()
-                });
+                b = b.component_branching_params(SplitParams { min_live: 4 });
             }
             let r = b.build().solve_mvc(&g);
             assert_eq!(r.weight, w_opt, "{name} (weighted, split={split})");
@@ -293,53 +270,37 @@ fn compsteal_without_any_split_is_sound() {
     assert_eq!(r.stats.report.split_totals().taken, 0);
 }
 
-/// The two connectivity backends, as full split parameter sets. The
-/// BFS arm also pins the PR 3 matching bound so the union-find arm's
-/// LP bound is exercised against it in the full-solve property.
-fn backend_params(backend: SplitBackend) -> SplitParams {
-    SplitParams {
-        min_live: 4,
-        max_depth: 16,
-        backend,
-        bound: SplitBound::Matching,
+/// The tracker's partition of the live vertices after its latest
+/// update, as member lists ordered by their smallest vertex — the order
+/// `ops::induced_components` reports components in.
+fn tracker_partition(g: &CsrGraph, conn: &Connectivity) -> Vec<Vec<u32>> {
+    let mut by_label: Vec<(u32, Vec<u32>)> = Vec::new();
+    for v in g.vertices() {
+        if let Some(l) = conn.label(v) {
+            match by_label.iter_mut().find(|(x, _)| *x == l) {
+                Some((_, members)) => members.push(v),
+                None => by_label.push((l, vec![v])),
+            }
+        }
     }
-}
-
-/// Extracts the component partition a backend reports at `node`, as
-/// `old_ids` member lists (canonically ordered by `detect_components`).
-fn components_of(
-    kernel: &Kernel<'_>,
-    node: &parvc::core::TreeNode,
-    backend: SplitBackend,
-    conn: &mut parvc::core::Connectivity,
-    weighted: bool,
-) -> Option<Vec<Vec<u32>>> {
-    let mut c = BlockCounters::new(0);
-    parvc::core::split::detect_components(
-        kernel,
-        node,
-        backend_params(backend),
-        conn,
-        &mut c,
-        weighted,
-    )
-    .map(|comps| comps.into_iter().map(|s| s.old_ids).collect())
+    by_label.into_iter().map(|(_, members)| members).collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The union-find satellite property: at **every** node of a
-    /// branching descent — including jumps back to earlier nodes,
-    /// which cross the tracker's checkpoint and force the dirty-region
-    /// rebuild — the incremental union-find backend reports exactly
-    /// the components the from-scratch BFS reports, under cardinality
-    /// and weighted reductions alike.
+    /// At every node of a seeded depth-first traversal, the union-find
+    /// tracker reports exactly the components `ops::induced_components`
+    /// finds among the node's live vertices: the same count and the
+    /// same partition, under cardinality and weighted reductions alike.
+    /// Both children are pushed in random order, so the pops jump
+    /// between subtrees, cross the tracker's checkpoint and force its
+    /// rebuilds.
     #[test]
-    fn union_find_and_bfs_report_identical_components(
+    fn tracker_matches_induced_components_at_every_node(
         (family, g) in arb_corpus_graph(),
         wseed in 0u64..1000,
-        branch_bits in 0u32..256,
+        order_seed in 0u64..1000,
         wbit in 0u8..2,
     ) {
         let weighted = wbit == 1;
@@ -359,151 +320,35 @@ proptest! {
         } else {
             SearchBound::Mvc { best: g.num_vertices() }
         };
+        let mut rng = StdRng::seed_from_u64(order_seed);
         let mut c = BlockCounters::new(0);
-        let mut conn = parvc::core::Connectivity::new();
-        let mut node = TreeNode::root(&g);
-        let mut checkpoints: Vec<TreeNode> = Vec::new();
-        for level in 0..8u32 {
-            kernel.reduce(&mut node, bound, &mut parvc::core::BlockScratch::new(), &mut c);
-            let bfs = components_of(
-                &kernel, &node, SplitBackend::Bfs,
-                &mut parvc::core::Connectivity::new(), weighted,
-            );
-            let uf = components_of(&kernel, &node, SplitBackend::UnionFind, &mut conn, weighted);
-            prop_assert_eq!(
-                &bfs, &uf,
-                "{}: backends disagree at level {} (weighted={})", family, level, weighted
-            );
-            // Jump back every third level to cross the checkpoint (the
-            // popped node resurrects vertices, forcing a rebuild).
-            if level % 3 == 2 {
-                if let Some(earlier) = checkpoints.pop() {
-                    node = earlier;
-                    continue;
-                }
-            }
-            let Some(vmax) = kernel.find_max_degree(&node, &mut c) else { break };
+        let mut scratch = BlockScratch::new();
+        let mut conn = Connectivity::new();
+        let mut stack = vec![TreeNode::root(&g)];
+        for visit in 0..200 {
+            let Some(mut node) = stack.pop() else { break };
+            kernel.reduce(&mut node, bound, &mut scratch, &mut c);
+            let (count, _) = conn.update(&g, |v| node.degree(v), kernel.exec);
+            let live: Vec<u32> = (0..node.len()).filter(|&v| node.degree(v) > 0).collect();
+            let want: Vec<Vec<u32>> = ops::induced_components(&g, &live)
+                .into_iter()
+                .map(|(_, members)| members)
+                .collect();
+            let ctx = format!("{family}, visit {visit} (weighted={weighted})");
+            prop_assert_eq!(count as usize, want.len(), "{}: component count", ctx);
+            prop_assert_eq!(tracker_partition(&g, &conn), want, "{}: partition", ctx);
+            let Some(vmax) = kernel.find_max_degree(&node, &mut c) else { continue };
             if node.degree(vmax) <= 0 {
-                break;
+                continue;
             }
-            checkpoints.push(node.clone());
-            if (branch_bits >> level) & 1 == 0 {
-                kernel.remove_vertex(&mut node, vmax, Activity::RemoveMaxVertex, &mut c);
+            let mut left = node.clone();
+            kernel.remove_neighbors(&mut left, vmax, Activity::RemoveNeighbors, &mut c);
+            kernel.remove_vertex(&mut node, vmax, Activity::RemoveMaxVertex, &mut c);
+            if rng.gen_bool(0.5) {
+                stack.extend([left, node]);
             } else {
-                kernel.remove_neighbors(&mut node, vmax, Activity::RemoveNeighbors, &mut c);
+                stack.extend([node, left]);
             }
         }
     }
-
-    /// Full-solve equivalence: a deterministic Sequential traversal
-    /// explores the identical tree under either backend — same
-    /// optimum, same number of checks, same splits taken — for MVC,
-    /// PVC, and weighted MVC.
-    #[test]
-    fn backends_explore_identical_trees((family, g) in arb_corpus_graph(), wseed in 0u64..1000) {
-        let solve = |backend, weighted: bool| {
-            let mut b = Solver::builder()
-                .algorithm(Algorithm::Sequential)
-                .component_branching_params(backend_params(backend));
-            if weighted {
-                b = b.weighted();
-            }
-            b.build()
-        };
-        for weighted in [false, true] {
-            let g = if weighted {
-                gen::with_uniform_weights(g.clone(), 10, wseed)
-            } else {
-                g.clone()
-            };
-            let bfs = solve(SplitBackend::Bfs, weighted).solve_mvc(&g);
-            let uf = solve(SplitBackend::UnionFind, weighted).solve_mvc(&g);
-            prop_assert_eq!(bfs.size, uf.size, "{} (weighted={})", family, weighted);
-            prop_assert_eq!(bfs.weight, uf.weight, "{} (weighted={})", family, weighted);
-            prop_assert_eq!(
-                bfs.stats.tree_nodes, uf.stats.tree_nodes,
-                "{} (weighted={}): backends explored different trees", family, weighted
-            );
-            let (sb, su) = (bfs.stats.report.split_totals(), uf.stats.report.split_totals());
-            prop_assert_eq!(sb.checks, su.checks, "{}: check counts differ", family);
-            prop_assert_eq!(sb.taken, su.taken, "{}: splits taken differ", family);
-            prop_assert_eq!(sb.components, su.components, "{}: components differ", family);
-            prop_assert!(sb.uf_rebuilds == 0, "BFS backend must not touch the tracker");
-        }
-        // PVC around the optimum, both backends.
-        let (opt, _) = brute_force_mvc(&g);
-        for k in [opt.saturating_sub(1), opt] {
-            let bfs = solve(SplitBackend::Bfs, false).solve_pvc(&g, k);
-            let uf = solve(SplitBackend::UnionFind, false).solve_pvc(&g, k);
-            prop_assert_eq!(
-                bfs.cover.is_some(), uf.cover.is_some(),
-                "{}: PVC k={} answers differ between backends", family, k
-            );
-            prop_assert_eq!(bfs.cover.is_some(), k >= opt, "{}: PVC answer wrong", family);
-        }
-    }
-
-    /// The LP sibling bound never changes the answer, only the work:
-    /// both bound choices stay exact against brute force, and the LP
-    /// arm never explores more tree nodes than the matching arm on a
-    /// deterministic Sequential traversal.
-    #[test]
-    fn lp_bound_is_exact_and_no_weaker((family, g) in arb_corpus_graph()) {
-        let (opt, _) = brute_force_mvc(&g);
-        let solve = |bound| {
-            Solver::builder()
-                .algorithm(Algorithm::Sequential)
-                .component_branching_params(SplitParams {
-                    min_live: 4,
-                    max_depth: 16,
-                    bound,
-                    ..SplitParams::default()
-                })
-                .build()
-                .solve_mvc(&g)
-        };
-        let lp = solve(SplitBound::Lp);
-        let matching = solve(SplitBound::Matching);
-        prop_assert_eq!(lp.size, opt, "{}: LP bound broke exactness", family);
-        prop_assert_eq!(matching.size, opt, "{}: matching bound broke exactness", family);
-        prop_assert!(is_vertex_cover(&g, &lp.cover), "{}: LP non-cover", family);
-        prop_assert!(
-            lp.stats.tree_nodes <= matching.stats.tree_nodes,
-            "{}: the LP bound explored more nodes ({} > {})",
-            family, lp.stats.tree_nodes, matching.stats.tree_nodes
-        );
-    }
-}
-
-/// The union-find backend must actually save connectivity work on a
-/// component-structured instance (the bench asserts this on
-/// `massive_components`; this is the same property in test size).
-#[test]
-fn union_find_does_less_check_work_than_bfs() {
-    let g = gen::sparse_components(400, 25, 0.3, 9);
-    let solve = |backend| {
-        Solver::builder()
-            .algorithm(Algorithm::Sequential)
-            .component_branching_params(SplitParams {
-                backend,
-                ..SplitParams::default()
-            })
-            .build()
-            .solve_mvc(&g)
-    };
-    let uf = solve(SplitBackend::UnionFind);
-    let bfs = solve(SplitBackend::Bfs);
-    assert_eq!(uf.size, bfs.size);
-    let (wu, wb) = (
-        uf.stats.report.split_totals(),
-        bfs.stats.report.split_totals(),
-    );
-    assert_eq!(wu.checks, wb.checks, "same tree, same checks");
-    assert!(
-        wu.check_work < wb.check_work,
-        "union-find must do strictly less work ({} >= {})",
-        wu.check_work,
-        wb.check_work
-    );
-    assert!(wu.uf_rebuilds >= 1, "the tracker must have (re)built");
 }
